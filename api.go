@@ -266,7 +266,6 @@ type Auditor struct {
 	setSize     int
 	seed        int64
 	parallelism int
-	lockstep    bool
 	retry       core.RetryPolicy
 	cache       *core.CachingOracle
 	budget      *core.BudgetedOracle
@@ -288,35 +287,28 @@ func (a *Auditor) WithSeed(seed int64) *Auditor {
 	return a
 }
 
-// WithParallelism enables the concurrent audit engine: multi-group
-// audits schedule independent super-group audits (and covered-penalty
-// re-audits) across a worker pool of at most parallelism goroutines,
-// and sampling HITs post as one batched round. Values <= 1 keep the
-// sequential engine. The oracle must be safe for concurrent use; with
-// an order-independent oracle (TruthOracle, a stateless crowd bridge)
-// verdicts and task counts match the sequential engine exactly.
+// WithParallelism bounds the pool that lifts an oracle without native
+// batching: every audit runs in lockstep rounds — concurrent audits
+// park their queries, and each round commits to the oracle as one
+// batch in canonical (super-group, member, query-sequence) order — and
+// a non-batching oracle answers a round's queries across up to
+// parallelism goroutines. Values <= 1 mean width 1. Round composition
+// never depends on the width, so verdicts, task counts and spend are
+// bit-identical at every value, even through an oracle whose answers
+// depend on query order (the simulated crowd) as long as it answers
+// batches in request order (SimulatedCrowd and TruthOracle do; see
+// core.BatchOracle). The oracle must be safe for concurrent use when
+// parallelism > 1.
 func (a *Auditor) WithParallelism(parallelism int) *Auditor {
 	a.parallelism = parallelism
 	return a
 }
 
-// WithLockstep replaces the free-running worker pool with the
-// deterministic lockstep scheduler: concurrent audits advance in
-// virtual rounds, each round's queries commit to the oracle as one
-// batch in canonical (super-group, member, query-sequence) order, and
-// the schedule is independent of the parallelism setting. Use it when
-// the oracle's answers depend on query order — the simulated crowd,
-// whose worker draws advance an RNG per HIT — and reproducibility
-// across parallelism levels matters: verdicts, task counts and spend
-// are then bit-identical at every WithParallelism value. The oracle
-// should answer batches in request order (SimulatedCrowd and
-// TruthOracle do; see core.BatchOracle). Order-independent oracles
-// additionally reproduce the sequential engine exactly, and batched
-// rounds preserve most of the concurrent engine's latency win.
-func (a *Auditor) WithLockstep() *Auditor {
-	a.lockstep = true
-	return a
-}
+// WithLockstep returns a unchanged.
+//
+// Deprecated: every audit runs on the deterministic lockstep
+// scheduler; see WithParallelism.
+func (a *Auditor) WithLockstep() *Auditor { return a }
 
 // WithCache interposes a deduplicating query cache between the
 // auditor and the oracle: identical HITs (canonicalized id-set plus
@@ -344,9 +336,8 @@ func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
 // control for a customer's spend cap. An audit that hits the cap
 // returns a deterministic partial result (result Exhausted flags,
 // unsettled groups carrying best-effort bounds) instead of an error;
-// under WithLockstep the exhaustion point, partial verdicts, task
-// counts and ledger spend are byte-identical at every WithParallelism
-// value. Like WithCache, the governor wraps the oracle stack as built
+// the exhaustion point, partial verdicts, task counts and ledger spend
+// are byte-identical at every WithParallelism value. Like WithCache, the governor wraps the oracle stack as built
 // so far: call WithBudget before WithCache to let cache hits answer
 // for free without charging the budget, after it to charge every
 // query. Combine MaxSpend with SimulatedCrowd.HITCost (or your
@@ -374,9 +365,9 @@ func (a *Auditor) WithBudget(b Budget) *Auditor {
 // committed HIT. Replay verifies the resumed audit issues the exact
 // journaled requests and fails with ErrJournalMismatch otherwise.
 //
-// WithJournal implies WithLockstep: only the deterministic round
-// scheduler makes the round sequence a pure function of committed
-// answers, which is what replay leans on. Call it after WithBudget
+// Replay leans on the deterministic round scheduler every audit runs
+// on: the round sequence is a pure function of committed answers.
+// Call it after WithBudget
 // (the governor's ledger is snapshotted per round and restored on
 // replay) and before WithCache (a cache above the journal re-fills
 // deterministically from replayed answers). Like the other stack
@@ -385,7 +376,6 @@ func (a *Auditor) WithJournal(j RoundJournal, replay []RoundRecord) *Auditor {
 	if a.journaled == nil {
 		a.journaled = core.NewJournalingOracle(a.oracle, j, replay, a.budget).SetContext(a.ctx)
 		a.oracle = a.journaled
-		a.lockstep = true
 	}
 	return a
 }
@@ -401,11 +391,9 @@ func (a *Auditor) WithJournal(j RoundJournal, replay []RoundRecord) *Auditor {
 // simulated crowd, wire Feed and Screen from
 // SimulatedCrowd.AnswerFeed and SimulatedCrowd.Screener.
 //
-// WithTrust implies WithLockstep: the probe schedule rides the
-// committed round sequence, which only the lockstep scheduler makes a
-// pure function of committed answers — and with it, trust scores and
-// screening decisions are byte-identical at every WithParallelism
-// value. Call it after WithJournal so the journal records (and
+// The probe schedule rides the committed round sequence, a pure
+// function of committed answers — so trust scores and screening
+// decisions are byte-identical at every WithParallelism value. Call it after WithJournal so the journal records (and
 // replays) the probe-augmented rounds: a resumed audit re-issues the
 // identical probes and re-reads the surviving feed, restoring every
 // trust score exactly. The feed is process-local, not journaled — an
@@ -422,7 +410,6 @@ func (a *Auditor) WithTrust(cfg TrustConfig) (*Auditor, error) {
 		}
 		a.trust = t
 		a.oracle = t
-		a.lockstep = true
 	}
 	return a, nil
 }
@@ -485,7 +472,6 @@ func (a *Auditor) multipleOptions() core.MultipleOptions {
 	return core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(a.seed)),
 		Parallelism: a.parallelism,
-		Lockstep:    a.lockstep,
 		Retry:       a.retry,
 		Ctx:         a.ctx,
 	}
@@ -503,8 +489,7 @@ func (a *Auditor) AuditBaseline(ids []ObjectID, g Group) (GroupResult, error) {
 }
 
 // AuditGroups decides coverage for several groups with the
-// super-group aggregation heuristic (Algorithm 2), on the concurrent
-// engine when WithParallelism is set.
+// super-group aggregation heuristic (Algorithm 2).
 func (a *Auditor) AuditGroups(ids []ObjectID, groups []Group) (*MultipleResult, error) {
 	return core.MultipleCoverage(a.oracle, ids, a.setSize, a.tau, groups, a.multipleOptions())
 }
@@ -524,22 +509,19 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 }
 
 // AuditWithClassifier audits one group using a pre-trained
-// classifier's predicted-positive set (Algorithm 4). With
-// WithParallelism the audit runs on the batched round engine — the
-// precision sample posts as one point-query round, the Label phase as
-// bounded rounds with a deterministic early stop, and the Partition
-// phase as one reverse-set round per tree level — and with
-// WithLockstep those rounds commit through the deterministic
-// scheduler, making the full result bit-identical at every
-// WithParallelism value even through the order-dependent simulated
-// crowd. Results equal the sequential engine exactly for
-// order-independent oracles.
+// classifier's predicted-positive set (Algorithm 4). The audit posts
+// whole rounds — the precision sample as one point-query round, the
+// Label phase as bounded rounds with a deterministic early stop, and
+// the Partition phase as one reverse-set round per tree level — whose
+// composition never depends on the width, making the full result
+// bit-identical at every WithParallelism value even through the
+// order-dependent simulated crowd. Results equal the paper's
+// sequential loops exactly for order-independent oracles.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
 	return core.ClassifierCoverage(a.oracle, ids, predicted, a.setSize, a.tau, g,
 		core.ClassifierOptions{
 			Rng:         rand.New(rand.NewSource(a.seed)),
 			Parallelism: a.parallelism,
-			Lockstep:    a.lockstep,
 			Retry:       a.retry,
 			Ctx:         a.ctx,
 		})

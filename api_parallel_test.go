@@ -25,7 +25,7 @@ func TestAuditorParallelismMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Error("WithParallelism(8) diverged from the sequential engine")
+		t.Error("WithParallelism(8) diverged from width 1")
 	}
 }
 
@@ -171,7 +171,7 @@ func TestAuditorLockstepCrowdInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := NewAuditor(crowd, 20, 15).WithSeed(5).WithParallelism(par).WithLockstep().
+		res, err := NewAuditor(crowd, 20, 15).WithSeed(5).WithParallelism(par).
 			AuditGroups(ds.IDs(), groups)
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +182,7 @@ func TestAuditorLockstepCrowdInvariance(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(res, base) {
-			t.Errorf("WithLockstep at parallelism %d diverged from parallelism 1", par)
+			t.Errorf("parallelism %d diverged from parallelism 1", par)
 		}
 		if cost != baseCost {
 			t.Errorf("parallelism %d spend %s, want %s", par, cost, baseCost)
@@ -191,8 +191,8 @@ func TestAuditorLockstepCrowdInvariance(t *testing.T) {
 }
 
 // TestAuditorLockstepMatchesSequentialOnTruth: with an
-// order-independent oracle, lockstep reproduces the plain sequential
-// audit exactly through the public API too.
+// order-independent oracle, the audit at width 8 reproduces the
+// width-1 audit exactly through the public API too.
 func TestAuditorLockstepMatchesSequentialOnTruth(t *testing.T) {
 	ds, err := GenerateBinary(2_000, 25, 33)
 	if err != nil {
@@ -203,12 +203,12 @@ func TestAuditorLockstepMatchesSequentialOnTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lock, err := NewAuditor(NewTruthOracle(ds), 50, 50).WithSeed(4).WithParallelism(8).WithLockstep().
+	lock, err := NewAuditor(NewTruthOracle(ds), 50, 50).WithSeed(4).WithParallelism(8).
 		AuditGroups(ds.IDs(), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, lock) {
-		t.Error("WithLockstep diverged from the sequential engine on an order-independent oracle")
+		t.Error("width 8 diverged from width 1 on an order-independent oracle")
 	}
 }

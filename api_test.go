@@ -244,7 +244,7 @@ func TestAuditorWithBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	auditor := NewAuditor(NewTruthOracle(ds), 50, 50).
-		WithSeed(5).WithLockstep().WithBudget(Budget{MaxHITs: 10})
+		WithSeed(5).WithBudget(Budget{MaxHITs: 10})
 	res, err := auditor.AuditGroups(ds.IDs(), []Group{
 		FemaleGroup(ds.Schema()), MaleGroup(ds.Schema()),
 	})
@@ -280,7 +280,7 @@ func TestAuditorWithBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capped := NewAuditor(crowd, 50, 50).WithSeed(5).WithLockstep().
+	capped := NewAuditor(crowd, 50, 50).WithSeed(5).
 		WithBudget(Budget{MaxSpend: 5.00, Cost: crowd.HITCost()})
 	if _, err := capped.AuditGroup(ds.IDs(), FemaleGroup(ds.Schema())); err != nil {
 		t.Fatal(err)

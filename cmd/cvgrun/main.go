@@ -9,10 +9,10 @@
 //	cvgrun -data feret.json -mode base -group "1"
 //	cvgrun -data faces.json -mode intersectional -crowd
 //	cvgrun -data faces.json -mode attribute -attr gender
-//	cvgrun -data faces.json -mode attribute -crowd -parallelism 8 -lockstep
-//	cvgrun -data faces.json -mode classifier -group "1" -accuracy 0.95 -precision 0.9 -parallelism 4 -lockstep
-//	cvgrun -data faces.json -mode attribute -crowd -lockstep -max-hits 200
-//	cvgrun -data faces.json -mode group -group "1" -crowd -lockstep -max-spend 25.00
+//	cvgrun -data faces.json -mode attribute -crowd -parallelism 8
+//	cvgrun -data faces.json -mode classifier -group "1" -accuracy 0.95 -precision 0.9 -parallelism 4
+//	cvgrun -data faces.json -mode attribute -crowd -max-hits 200
+//	cvgrun -data faces.json -mode group -group "1" -crowd -max-spend 25.00
 //	cvgrun -data faces.json -mode attribute -crowd -journal audit.jnl
 //	cvgrun -data faces.json -mode attribute -crowd -journal audit.jnl -resume
 //	cvgrun -data faces.json -mode group -group "1" -crowd -adversary-strategy colluding-liar -adversary-rate 0.3 -trust
@@ -64,16 +64,15 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		n         = fs.Int("n", 50, "set-query size upper bound")
 		seed      = fs.Int64("seed", 1, "random seed")
 		useCrowd  = fs.Bool("crowd", false, "audit through the simulated crowd instead of ground truth")
-		par       = fs.Int("parallelism", 1, "worker pool size of the concurrent audit engine (<=1 sequential)")
-		lockstep  = fs.Bool("lockstep", false, "schedule concurrent audits in deterministic lockstep rounds (bit-identical results at any -parallelism, even through the order-dependent simulated crowd)")
+		par       = fs.Int("parallelism", 1, "worker pool width that answers each lockstep round's queries (<=1 one at a time); results are bit-identical at any width, even through the order-dependent simulated crowd")
 		cache     = fs.Bool("cache", false, "deduplicate identical HITs with a query cache")
 		maxHITs   = fs.Int("max-hits", 0, "cap the committed crowd HITs; the audit returns a deterministic partial verdict when the cap is hit (0 = unlimited)")
 		maxSpend  = fs.Float64("max-spend", 0, "cap the committed crowd spend; with -crowd priced by the deployment's cost model (assignments x price + fee), otherwise one unit per HIT (0 = unlimited)")
-		journalAt = fs.String("journal", "", "checkpoint every committed oracle round to this crash-safe journal file (implies -lockstep)")
+		journalAt = fs.String("journal", "", "checkpoint every committed oracle round to this crash-safe journal file")
 		resume    = fs.Bool("resume", false, "resume from the journal's committed rounds instead of starting fresh (requires -journal); replayed rounds touch neither the crowd nor the budget")
 		advStrat  = fs.String("adversary-strategy", "", "plant adversarial workers in the simulated crowd: lazy-yes, random-spam or colluding-liar (requires -crowd; honest workers stay byte-identical)")
 		advRate   = fs.Float64("adversary-rate", 0.25, "adversarial fraction of the worker pool in [0,1] (with -adversary-strategy)")
-		trust     = fs.Bool("trust", false, "screen adversarial workers with the gold-probe trust middleware (requires -crowd; implies -lockstep; with -resume, replayed verdicts and the probe schedule restore exactly but trust evidence restarts — the raw answer feed is process-local, not journaled)")
+		trust     = fs.Bool("trust", false, "screen adversarial workers with the gold-probe trust middleware (requires -crowd; with -resume, replayed verdicts and the probe schedule restore exactly but trust evidence restarts — the raw answer feed is process-local, not journaled)")
 		probeN    = fs.Int("trust-probes", 8, "size of the deterministic gold-probe battery the trust middleware cycles (with -trust)")
 
 		serveAddr    = fs.String("serve", "", "run the audit service on this address (e.g. :8080) instead of a one-shot audit; requires -data-dir")
@@ -137,9 +136,6 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		oracle = imagecvg.NewTruthOracle(ds)
 	}
 	auditor := imagecvg.NewAuditor(oracle, *tau, *n).WithSeed(*seed).WithParallelism(*par)
-	if *lockstep {
-		auditor = auditor.WithLockstep()
-	}
 	if *maxHITs > 0 || *maxSpend > 0 {
 		budget := imagecvg.Budget{MaxHITs: *maxHITs, MaxSpend: *maxSpend}
 		if crowdOracle != nil {
@@ -156,7 +152,7 @@ func run(args []string, out, errOut io.Writer) (code int) {
 	if *journalAt != "" {
 		// The journal wraps the stack above the governor (paid rounds
 		// restore the ledger on replay, never re-charge it) and below
-		// the cache; WithJournal forces lockstep, which replay needs.
+		// the cache.
 		var (
 			jnl    *imagecvg.FileJournal
 			replay []imagecvg.RoundRecord

@@ -104,7 +104,7 @@ func TestParallelCachedAttributeMode(t *testing.T) {
 		t.Errorf("cache stats missing:\n%s", parOut.String())
 	}
 	// Same ground-truth oracle and seed: the verdict lines must agree
-	// between the sequential and the concurrent engine.
+	// at width 1 and width 8.
 	seqLines := strings.Split(seqOut.String(), "\n")
 	parLines := strings.Split(parOut.String(), "\n")
 	for i := range seqLines {
@@ -118,7 +118,7 @@ func TestClassifierMode(t *testing.T) {
 	path := writeDataset(t, 600, 200)
 	var out, errOut bytes.Buffer
 	code := run([]string{"-data", path, "-mode", "classifier", "-group", "1",
-		"-tau", "50", "-n", "25", "-precision", "0.95", "-parallelism", "4", "-lockstep"}, &out, &errOut)
+		"-tau", "50", "-n", "25", "-precision", "0.95", "-parallelism", "4"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
 	}
@@ -131,15 +131,15 @@ func TestClassifierMode(t *testing.T) {
 }
 
 // TestClassifierLockstepCrowdInvariantAcrossParallelism: the
-// classifier audit through the simulated crowd with -lockstep must
-// print byte-identical output (verdict, strategy, task breakdown,
-// dollar cost) at every -parallelism value.
+// classifier audit through the simulated crowd must print
+// byte-identical output (verdict, strategy, task breakdown, dollar
+// cost) at every -parallelism value.
 func TestClassifierLockstepCrowdInvariantAcrossParallelism(t *testing.T) {
 	path := writeDataset(t, 300, 80)
 	audit := func(parallelism string) string {
 		var out, errOut bytes.Buffer
 		code := run([]string{"-data", path, "-mode", "classifier", "-group", "1",
-			"-tau", "30", "-n", "15", "-crowd", "-seed", "5", "-parallelism", parallelism, "-lockstep"}, &out, &errOut)
+			"-tau", "30", "-n", "15", "-crowd", "-seed", "5", "-parallelism", parallelism}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("parallelism %s: exit = %d, stderr: %s", parallelism, code, errOut.String())
 		}
@@ -148,7 +148,7 @@ func TestClassifierLockstepCrowdInvariantAcrossParallelism(t *testing.T) {
 	base := audit("1")
 	for _, p := range []string{"4", "16"} {
 		if got := audit(p); got != base {
-			t.Errorf("-lockstep classifier output diverged at -parallelism %s:\n%s\nvs\n%s", p, got, base)
+			t.Errorf("classifier output diverged at -parallelism %s:\n%s\nvs\n%s", p, got, base)
 		}
 	}
 }
@@ -184,14 +184,14 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestLockstepCrowdInvariantAcrossParallelism: through the CLI, a
-// crowd-backed audit with -lockstep must print byte-identical output
-// (verdicts, task counts, dollar cost) at every -parallelism value.
+// crowd-backed audit must print byte-identical output (verdicts, task
+// counts, dollar cost) at every -parallelism value, without any flag.
 func TestLockstepCrowdInvariantAcrossParallelism(t *testing.T) {
 	path := writeDataset(t, 300, 40)
 	audit := func(parallelism string) string {
 		var out, errOut bytes.Buffer
 		code := run([]string{"-data", path, "-mode", "attribute", "-tau", "25",
-			"-n", "15", "-crowd", "-seed", "3", "-parallelism", parallelism, "-lockstep"}, &out, &errOut)
+			"-n", "15", "-crowd", "-seed", "3", "-parallelism", parallelism}, &out, &errOut)
 		if code != 0 {
 			t.Fatalf("parallelism %s: exit = %d, stderr: %s", parallelism, code, errOut.String())
 		}
@@ -200,7 +200,48 @@ func TestLockstepCrowdInvariantAcrossParallelism(t *testing.T) {
 	base := audit("1")
 	for _, p := range []string{"4", "16"} {
 		if got := audit(p); got != base {
-			t.Errorf("-lockstep output diverged at -parallelism %s:\n%s\nvs\n%s", p, got, base)
+			t.Errorf("output diverged at -parallelism %s:\n%s\nvs\n%s", p, got, base)
+		}
+	}
+}
+
+// TestIntersectionalCrowdInvariantAcrossParallelism: an intersectional
+// crowd audit over a 4-value x 2-value schema — several concurrent
+// leaf audits, super-groups and resolution re-audits, all through the
+// order-dependent simulated crowd — must print byte-identical output
+// at every -parallelism value, on every run: a schedule-dependent
+// engine diverges only on some interleavings, so each width repeats.
+func TestIntersectionalCrowdInvariantAcrossParallelism(t *testing.T) {
+	s, err := imagecvg.NewSchema(
+		imagecvg.Attribute{Name: "race", Values: []string{"a", "b", "c", "d"}},
+		imagecvg.Attribute{Name: "gender", Values: []string{"m", "f"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := imagecvg.DatasetFromCounts(s, []int{120, 12, 90, 8, 60, 30, 40, 5}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/d.json"
+	if err := ds.SaveJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	audit := func(parallelism string) string {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-data", path, "-mode", "intersectional", "-tau", "25",
+			"-n", "15", "-crowd", "-seed", "3", "-parallelism", parallelism}, &out, &errOut)
+		if code != 0 {
+			t.Fatalf("parallelism %s: exit = %d, stderr: %s", parallelism, code, errOut.String())
+		}
+		return out.String()
+	}
+	base := audit("1")
+	for rep := 0; rep < 5; rep++ {
+		for _, p := range []string{"2", "4", "16"} {
+			if got := audit(p); got != base {
+				t.Fatalf("intersectional output diverged at -parallelism %s (rep %d):\n%s\nvs\n%s", p, rep, got, base)
+			}
 		}
 	}
 }
@@ -229,7 +270,7 @@ func TestBudgetedGroupMode(t *testing.T) {
 func TestBudgetedCrowdAttributeMode(t *testing.T) {
 	path := writeDataset(t, 300, 15)
 	var out, errOut bytes.Buffer
-	code := run([]string{"-data", path, "-mode", "attribute", "-crowd", "-lockstep",
+	code := run([]string{"-data", path, "-mode", "attribute", "-crowd",
 		"-tau", "40", "-max-spend", "2.00"}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())

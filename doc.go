@@ -32,24 +32,24 @@
 //
 // # Concurrent audit engine
 //
-// Real deployments post whole rounds of HITs concurrently, so the
-// auditor ships a concurrent engine alongside the paper's sequential
-// algorithms. Three composable pieces drive it:
+// Real deployments post whole rounds of HITs concurrently, so every
+// multi-group and classifier audit runs on one round-based engine.
+// Three composable pieces drive it:
 //
 //   - BatchOracle extends Oracle with SetQueryBatch/PointQueryBatch so
 //     one call posts an entire round; TruthOracle and the simulated
 //     crowd implement it natively, and AsBatchOracle lifts any plain
 //     Oracle through a bounded worker pool.
-//   - Auditor.WithParallelism schedules independent super-group audits
-//     (and the covered-penalty re-audits) of Multiple-Coverage across
-//     a bounded worker pool, with per-audit child RNGs split
-//     deterministically from the seed, and runs Classifier-Coverage on
-//     its batched round engine (one point-query round for the
+//   - The lockstep scheduler runs the independent super-group audits
+//     (and the covered-penalty re-audits) of Multiple-Coverage as
+//     concurrent tasks whose queries commit in canonical rounds, and
+//     Classifier-Coverage posts one point-query round for the
 //     precision sample, bounded Label rounds with a deterministic
-//     early stop, one reverse-set round per Partition tree level).
-//     With an order-independent oracle the verdicts and task counts
-//     are identical to the sequential engine at every parallelism
-//     level.
+//     early stop, and one reverse-set round per Partition tree level.
+//     Auditor.WithParallelism sizes the pool that answers a round's
+//     queries on a non-batching oracle. With an order-independent
+//     oracle the verdicts and task counts equal the paper's
+//     sequential algorithms at every parallelism level.
 //   - Auditor.WithCache interposes a deduplicating query cache keyed
 //     on the canonicalized id-set and group (length-prefixed, so no
 //     crafted input can collide two distinct queries onto one cached
@@ -68,8 +68,8 @@
 // HITs: the governor charges each query actually posted (including
 // speculative round over-issue a deterministic early stop later
 // discards, and re-posted retries — they were all paid), refuses
-// everything beyond the cap without posting it, and the batched engines
-// narrow their speculative rounds to the remaining headroom (Label
+// everything beyond the cap without posting it, and the engine narrows
+// its speculative rounds to the remaining headroom (Label
 // rounds shrink to min(tau-verified, headroom); the Partition frontier
 // is clipped to the nodes that could still reach the early stop).
 //
@@ -77,30 +77,27 @@
 // deterministic partial result — Result.Exhausted set, per-group
 // Settled flags, and best-effort covered/uncovered bounds proven by the
 // committed answers (Intersectional audits keep Unknown verdicts rather
-// than inventing definite ones). Under WithLockstep the exhaustion
-// point in the canonical query sequence, the partial verdicts, the
-// committed task counts and the ledger spend are byte-identical at
-// every WithParallelism value; the free-running pool charges queries in
-// arrival order and stays race-free but not width-reproducible.
+// than inventing definite ones). The exhaustion point in the canonical
+// query sequence, the partial verdicts, the committed task counts and
+// the ledger spend are byte-identical at every WithParallelism value.
 //
 // # Determinism contract
 //
-// Reproducibility across parallelism levels depends on the oracle:
+// Every audit runs on one engine, the lockstep scheduler: concurrent
+// audits advance in virtual rounds whose queries commit to the oracle
+// as one batch in canonical (super-group, member, query-sequence)
+// order. WithParallelism only sizes the pool that answers a round's
+// queries when the oracle has no native batching. So:
 //
 //   - Order-INDEPENDENT oracles — TruthOracle, any bridge whose answer
-//     is a function of the request alone — are safe with the default
-//     free-running pool: WithParallelism(k) reproduces the sequential
-//     engine bit-for-bit at every k.
+//     is a function of the request alone — reproduce the paper's
+//     sequential algorithms bit-for-bit at every width.
 //   - Order-DEPENDENT oracles — the simulated crowd, whose worker
-//     draws advance an RNG per HIT, or any stateful aggregator — need
-//     Auditor.WithLockstep: audits then advance in virtual rounds
-//     whose queries commit to the oracle as one batch in canonical
-//     (super-group, member, query-sequence) order, so verdicts, task
-//     counts and spend are bit-identical at every WithParallelism
-//     value. The oracle must answer batches in request order
-//     (SimulatedCrowd does natively); batched rounds preserve most of
-//     the concurrent engine's latency win, because a round's HITs
-//     still post together.
+//     draws advance an RNG per HIT, or any stateful aggregator —
+//     produce bit-identical verdicts, task counts and spend at every
+//     width, provided they answer batches in request order
+//     (SimulatedCrowd does natively). Batched rounds keep the latency
+//     win of concurrency, because a round's HITs still post together.
 //
 // # Audit service
 //

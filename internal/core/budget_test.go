@@ -174,7 +174,6 @@ func TestMultipleCoverageBudgetExhaustionDeterministicUnderLockstep(t *testing.T
 			res, err := MultipleCoverage(gov, d.IDs(), 10, tau, groups, MultipleOptions{
 				Rng:         rand.New(rand.NewSource(seed)),
 				Parallelism: par,
-				Lockstep:    true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -223,7 +222,7 @@ func TestMultipleCoverageBudgetLargeCapMatchesUnbudgeted(t *testing.T) {
 }
 
 // TestClassifierBudgetNarrowingAndExhaustion exercises both narrowing
-// paths of the batched engine: Label rounds shrink to the remaining
+// paths of the round engine: Label rounds shrink to the remaining
 // headroom and the audit settles with a partial count on exhaustion,
 // identically at every lockstep width.
 func TestClassifierBudgetDeterministicUnderLockstep(t *testing.T) {
@@ -255,7 +254,6 @@ func TestClassifierBudgetDeterministicUnderLockstep(t *testing.T) {
 			res, err := ClassifierCoverage(gov, d.IDs(), predicted, 10, tau, g, ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(seed)),
 				Parallelism: par,
-				Lockstep:    true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -288,8 +286,7 @@ func TestClassifierLabelRoundNarrowing(t *testing.T) {
 	cap := 25
 	gov := NewBudgetedOracle(NewTruthOracle(d), Budget{MaxHITs: cap})
 	res, err := ClassifierCoverage(gov, d.IDs(), predicted, 10, 80, g, ClassifierOptions{
-		Rng:      rand.New(rand.NewSource(9)),
-		Lockstep: true,
+		Rng: rand.New(rand.NewSource(9)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +319,6 @@ func TestIntersectionalBudgetExhaustion(t *testing.T) {
 		res, err := IntersectionalCoverage(gov, d.IDs(), 8, 10, s, MultipleOptions{
 			Rng:         rand.New(rand.NewSource(11)),
 			Parallelism: par,
-			Lockstep:    true,
 		})
 		if err != nil {
 			t.Fatal(err)

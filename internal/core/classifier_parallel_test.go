@@ -35,9 +35,10 @@ func generateClassifierInstance(rng *rand.Rand) classifierInstance {
 	return inst
 }
 
-// runClassifierCell executes one (instance, options) cell against a
-// fresh TruthOracle and serializes the full result.
-func runClassifierCell(t *testing.T, inst classifierInstance, parallelism int, lockstep bool) string {
+// runClassifierCell executes one (instance, width) cell against a
+// fresh TruthOracle and serializes the full result; reference runs the
+// paper's sequential loops instead of the production round engine.
+func runClassifierCell(t *testing.T, inst classifierInstance, parallelism int, reference bool) string {
 	t.Helper()
 	d, err := dataset.BinaryWithMinority(inst.n, inst.f, rand.New(rand.NewSource(inst.dataSeed)))
 	if err != nil {
@@ -45,11 +46,14 @@ func runClassifierCell(t *testing.T, inst classifierInstance, parallelism int, l
 	}
 	g := dataset.Female(d.Schema())
 	predicted := predictedSet(d, inst.tp, inst.fp)
-	res, err := ClassifierCoverage(NewTruthOracle(d), d.IDs(), predicted, inst.setSize, inst.tau, g,
+	run := ClassifierCoverage
+	if reference {
+		run = classifierCoverageReference
+	}
+	res, err := run(NewTruthOracle(d), d.IDs(), predicted, inst.setSize, inst.tau, g,
 		ClassifierOptions{
 			Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 			Parallelism: parallelism,
-			Lockstep:    lockstep,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +62,12 @@ func runClassifierCell(t *testing.T, inst classifierInstance, parallelism int, l
 }
 
 // TestClassifierLockstepMatchesSequentialRandomized is the equivalence
-// matrix for the batched engine: >= 50 randomized instances, each run
-// sequentially and then under Lockstep at P in {1, 2, 4, 16}, asserting
-// a byte-identical ClassifierResult (Strategy, Count, Exact, EstFPRate
-// and the full task breakdown). Run under -race in CI, so the claim is
-// checked on genuinely concurrent schedules.
+// matrix for the round engine: >= 50 randomized instances, each run
+// through the paper's sequential loops and then through the engine at
+// P in {1, 2, 4, 16}, asserting a byte-identical ClassifierResult
+// (Strategy, Count, Exact, EstFPRate and the full task breakdown). Run
+// under -race in CI, so the claim is checked on genuinely concurrent
+// schedules.
 func TestClassifierLockstepMatchesSequentialRandomized(t *testing.T) {
 	instances := 50
 	if testing.Short() {
@@ -72,10 +77,10 @@ func TestClassifierLockstepMatchesSequentialRandomized(t *testing.T) {
 	for i := 0; i < instances; i++ {
 		inst := generateClassifierInstance(rng)
 		t.Run(fmt.Sprintf("%02d", i), func(t *testing.T) {
-			want := runClassifierCell(t, inst, 1, false)
+			want := runClassifierCell(t, inst, 1, true)
 			for _, par := range []int{1, 2, 4, 16} {
-				if got := runClassifierCell(t, inst, par, true); got != want {
-					t.Fatalf("lockstep P=%d diverged from the sequential engine:\n--- lockstep ---\n%s\n--- sequential ---\n%s\n(instance %+v)",
+				if got := runClassifierCell(t, inst, par, false); got != want {
+					t.Fatalf("P=%d diverged from the sequential reference:\n--- engine ---\n%s\n--- reference ---\n%s\n(instance %+v)",
 						par, got, want, inst)
 				}
 			}
@@ -83,10 +88,10 @@ func TestClassifierLockstepMatchesSequentialRandomized(t *testing.T) {
 	}
 }
 
-// TestClassifierFreePoolMatchesSequentialRandomized pins the
-// free-running side of the contract: against an order-independent
-// oracle the batched engine without lockstep also reproduces the
-// sequential engine at every width.
+// TestClassifierFreePoolMatchesSequentialRandomized extends the matrix
+// to a second randomized instance stream at widths 2 and 8, which the
+// main matrix skips: the round engine must reproduce the sequential
+// reference there too.
 func TestClassifierFreePoolMatchesSequentialRandomized(t *testing.T) {
 	instances := 20
 	if testing.Short() {
@@ -96,10 +101,10 @@ func TestClassifierFreePoolMatchesSequentialRandomized(t *testing.T) {
 	for i := 0; i < instances; i++ {
 		inst := generateClassifierInstance(rng)
 		t.Run(fmt.Sprintf("%02d", i), func(t *testing.T) {
-			want := runClassifierCell(t, inst, 1, false)
+			want := runClassifierCell(t, inst, 1, true)
 			for _, par := range []int{2, 8} {
 				if got := runClassifierCell(t, inst, par, false); got != want {
-					t.Fatalf("free pool P=%d diverged from the sequential engine:\n%s\nvs\n%s\n(instance %+v)",
+					t.Fatalf("P=%d diverged from the sequential reference:\n%s\nvs\n%s\n(instance %+v)",
 						par, got, want, inst)
 				}
 			}
@@ -145,8 +150,7 @@ func (o *roundLogOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error
 }
 
 // TestClassifierLockstepRoundsWidthIndependent asserts the property the
-// cross-parallelism guarantee rests on: under Lockstep, the exact
-// sequence of committed rounds — composition AND order within each
+// cross-parallelism guarantee rests on: the exact sequence of committed rounds — composition AND order within each
 // round — is identical at every Parallelism value, so an
 // order-dependent oracle consumes its state identically at any width.
 func TestClassifierLockstepRoundsWidthIndependent(t *testing.T) {
@@ -162,7 +166,7 @@ func TestClassifierLockstepRoundsWidthIndependent(t *testing.T) {
 		runLog := func(par int) []string {
 			o := newRoundLogOracle(d)
 			_, err := ClassifierCoverage(o, d.IDs(), predicted, inst.setSize, inst.tau, g,
-				ClassifierOptions{Rng: rand.New(rand.NewSource(inst.auditSeed)), Parallelism: par, Lockstep: true})
+				ClassifierOptions{Rng: rand.New(rand.NewSource(inst.auditSeed)), Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,28 +183,27 @@ func TestClassifierLockstepRoundsWidthIndependent(t *testing.T) {
 }
 
 // TestClassifierParallelPropagatesErrors mirrors the sequential error
-// test on the batched engine: a transiently failing oracle must abort
-// the audit instead of mislabeling coverage.
+// test on the round engine: a transiently failing oracle must abort
+// the audit instead of mislabeling coverage, at every width.
 func TestClassifierParallelPropagatesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(20253))
 	d, _ := dataset.BinaryWithMinority(100, 20, rng)
 	g := dataset.Female(d.Schema())
 	predicted := predictedSet(d, 20, 5)
-	for _, lockstep := range []bool{false, true} {
+	for _, par := range []int{1, 4} {
 		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 3}
 		if _, err := ClassifierCoverage(flaky, d.IDs(), predicted, 10, 15, g,
-			ClassifierOptions{Rng: rng, Parallelism: 4, Lockstep: lockstep}); err == nil {
-			t.Errorf("lockstep=%v: want propagated transient error", lockstep)
+			ClassifierOptions{Rng: rng, Parallelism: par}); err == nil {
+			t.Errorf("P=%d: want propagated transient error", par)
 		}
 	}
 }
 
 // TestClassifierRetryRecoversTransientFailures pins WithRetry parity
 // with the multi-group engines: a transiently flaky oracle must not
-// abort a classifier audit when a retry policy is set, on either
-// engine. The sequential run must additionally match a clean oracle's
-// result exactly — retries re-post HITs, they never change the
-// algorithm-level task accounting.
+// abort a classifier audit when a retry policy is set, at any width,
+// and the result must match a clean oracle's exactly — retries re-post
+// HITs, they never change the algorithm-level task accounting.
 func TestClassifierRetryRecoversTransientFailures(t *testing.T) {
 	rng := rand.New(rand.NewSource(20255))
 	d, _ := dataset.BinaryWithMinority(400, 80, rng)
@@ -216,7 +219,7 @@ func TestClassifierRetryRecoversTransientFailures(t *testing.T) {
 	cases := []ClassifierOptions{
 		{Rng: rand.New(rand.NewSource(1)), Retry: policy},
 		{Rng: rand.New(rand.NewSource(1)), Retry: policy, Parallelism: 4},
-		{Rng: rand.New(rand.NewSource(1)), Retry: policy, Parallelism: 4, Lockstep: true},
+		{Rng: rand.New(rand.NewSource(1)), Retry: policy, Parallelism: 16},
 	}
 	for i, opts := range cases {
 		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 7}
@@ -230,8 +233,9 @@ func TestClassifierRetryRecoversTransientFailures(t *testing.T) {
 	}
 }
 
-// TestPartitionCleanRoundsMatchesSequential compares the level-round
-// Partition directly against the sequential partitionClean across
+// TestPartitionCleanRoundsMatchesSequential compares the round
+// engine's Partition directly against the sequential reference
+// partitionClean across
 // randomized compositions and stop thresholds, including stopAt values
 // beyond the set (full drain) and tiny chunk sizes.
 func TestPartitionCleanRoundsMatchesSequential(t *testing.T) {
@@ -250,7 +254,7 @@ func TestPartitionCleanRoundsMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &classifierEngine{o: NewTruthOracle(d), opts: MultipleOptions{Parallelism: 1 + rng.Intn(8), Lockstep: rng.Intn(2) == 0}}
+		e := classifierRounds(NewTruthOracle(d), 1+rng.Intn(8))
 		gotC, gotD, gotT, _, err := e.partitionCleanRounds(d.IDs(), chunk, stopAt, g)
 		if err != nil {
 			t.Fatal(err)

@@ -40,25 +40,13 @@ type ClassifierOptions struct {
 	FPRateThreshold float64
 	// Rng drives sampling; required.
 	Rng *rand.Rand
-	// Parallelism enables the batched round engine
-	// (classifier_parallel.go): the precision sample posts as one
-	// point-query round, the Label phase as bounded rounds with a
-	// deterministic early stop, and the Partition phase as one
-	// reverse-set round per tree level, each round fanned across a
-	// worker pool of at most Parallelism goroutines. Zero or one keeps
-	// the sequential Algorithm 4/5 loops. The oracle must be safe for
-	// concurrent use; results (strategy, counts, task breakdown) equal
-	// the sequential engine exactly for order-independent oracles.
+	// Parallelism bounds the pool that lifts an oracle without native
+	// batching (see AsBatchOracle); values <= 1 mean width 1. Every
+	// phase posts whole rounds whose composition never depends on the
+	// width, so the full ClassifierResult is bit-identical at every
+	// value. The oracle must be safe for concurrent use when
+	// Parallelism > 1.
 	Parallelism int
-	// Lockstep routes every round through the deterministic lockstep
-	// scheduler (runLockstep): the round's queries commit to the oracle
-	// as one canonical BatchOracle batch in issue order. Round
-	// composition never depends on Parallelism — the engine is
-	// level-synchronous by construction — so with a native BatchOracle
-	// answering in request order (the crowd Platform, TruthOracle) the
-	// full ClassifierResult is bit-identical at every Parallelism
-	// value. Implies the batched engine even at Parallelism <= 1.
-	Lockstep bool
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
 	// of aborting the audit. The whole audit shares one retry wrapper
 	// (a classifier audit is a single task); jitter is drawn from Rng
@@ -68,9 +56,9 @@ type ClassifierOptions struct {
 	// Budget caps the committed crowd queries of this audit (see
 	// MultipleOptions.Budget): exhaustion yields a partial
 	// ClassifierResult (Exhausted set, Count the verified lower bound)
-	// instead of an error, and the batched engine narrows its
-	// speculative rounds to the remaining headroom. An oracle that
-	// already is a *BudgetedOracle is reused and this field is ignored.
+	// instead of an error, and the engine narrows its speculative
+	// rounds to the remaining headroom. An oracle that already is a
+	// *BudgetedOracle is reused and this field is ignored.
 	Budget Budget
 	// Ctx cancels the audit at round boundaries (see
 	// MultipleOptions.Ctx). Nil means context.Background().
@@ -130,48 +118,49 @@ func (r ClassifierResult) String() string {
 // (imprecise classifiers). If the verified positives already reach
 // tau the audit stops; otherwise Group-Coverage hunts the remaining
 // tau - c' false negatives in D - G.
+//
+// Every phase posts whole rounds of HITs instead of one at a time:
+//
+//   - the precision sample (line 2-3) is a single point-query round
+//     over the objects Rng.Perm draws, in draw order;
+//   - the Label phase (Algorithm 5) issues bounded rounds of point
+//     queries over the unsampled predicted objects and commits the
+//     answers in predicted-set order with a deterministic early stop:
+//     each round posts min(max(1, tau - verified), remaining budget
+//     headroom) queries, and the walk stops at the first index where
+//     verified >= tau, discarding later in-flight answers;
+//   - the Partition phase (Algorithm 5) runs the divide-and-conquer
+//     queue but posts the front of the queue as one reverse-set round
+//     per iteration, clipped to the prefix of nodes whose cumulative
+//     size reaches stopAt - confirmed (and to the budget headroom):
+//     nodes past that point are pure speculation. Commit order, sibling
+//     inference and the early stop follow the paper's loop verbatim.
+//
+// Round composition is a pure function of previously committed answers
+// — never of Parallelism — and each round commits as one canonical
+// BatchOracle batch, exactly what a lockstep round of one-query tasks
+// posts. So the full ClassifierResult is bit-identical at every
+// Parallelism even through order-dependent oracles like the crowd
+// Platform, and for order-independent oracles Strategy, Count, Exact
+// and the task breakdown equal the paper's sequential loops: Tasks
+// counts committed queries only. The price of posting rounds is
+// over-issue — answers the early stop or the sibling inference discards
+// were still real HITs — bounded per phase by one round. Budget
+// exhaustion surfaces as a committed prefix of one round, translated
+// into a partial result with Exhausted set.
 func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int, g pattern.Group, opts ClassifierOptions) (ClassifierResult, error) {
 	res := ClassifierResult{Group: g, Strategy: StrategyNone}
-	if o == nil {
-		return res, errors.New("core: nil oracle")
-	}
-	if opts.Rng == nil {
-		return res, errors.New("core: ClassifierCoverage needs options.Rng")
-	}
-	if opts.SampleFraction == 0 {
-		opts.SampleFraction = 0.10
-	}
-	if opts.FPRateThreshold == 0 {
-		opts.FPRateThreshold = 0.25
-	}
-	if opts.SampleFraction < 0 || opts.SampleFraction > 1 || opts.FPRateThreshold < 0 || opts.FPRateThreshold > 1 {
-		return res, fmt.Errorf("core: invalid options %+v", opts)
-	}
-	if n < 1 || tau < 0 {
-		return res, fmt.Errorf("core: invalid parameters (n=%d tau=%d)", n, tau)
-	}
-
-	inIDs := make(map[dataset.ObjectID]bool, len(ids))
-	for _, id := range ids {
-		inIDs[id] = true
-	}
-	inPredicted := make(map[dataset.ObjectID]bool, len(predicted))
-	for _, id := range predicted {
-		if !inIDs[id] {
-			return res, fmt.Errorf("core: predicted object %d not in dataset", id)
-		}
-		if inPredicted[id] {
-			return res, fmt.Errorf("core: duplicate predicted object %d", id)
-		}
-		inPredicted[id] = true
+	inPredicted, err := classifierInputs(o, ids, predicted, n, tau, &opts)
+	if err != nil {
+		return res, err
 	}
 
 	// A budget governor, when configured, wraps the oracle before the
 	// retry layer: a retried HIT is a re-posted HIT and charges the
 	// budget again, while an exhaustion refusal is not transient and
 	// never retries. Transient-failure handling wraps once per audit (a
-	// no-op when the policy is disabled); every phase of either engine
-	// — and the residual hunt — retries through it.
+	// no-op when the policy is disabled); every phase — and the
+	// residual hunt — retries through it.
 	ctx := opts.context()
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -193,76 +182,91 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		res.Tasks = gc.Tasks
 		return res, nil
 	}
+	e := &classifierEngine{bo: AsBatchOracle(o, normalizeParallelism(opts.Parallelism)), gov: gov, ctx: ctx}
 
-	if opts.Lockstep || opts.Parallelism > 1 {
-		return classifierCoverageParallel(o, gov, ids, predicted, inPredicted, n, tau, g, opts, res)
-	}
-
-	// Line 2-3: estimate precision on a sample of G.
+	// Line 2-3: estimate precision on a sample of G, posted as one
+	// point-query round.
 	sampleSize := sampleBudget(opts.SampleFraction, len(predicted))
+	sample := make([]dataset.ObjectID, 0, sampleSize)
+	for _, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
+		sample = append(sample, predicted[idx])
+	}
+	labels, err := e.pointRound(sample)
+	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+		return res, err
+	}
 	sampled := make(map[dataset.ObjectID]bool, sampleSize)
 	truePos := 0
-	for _, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
-		id := predicted[idx]
-		labels, err := o.PointQuery(id)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				return classifierExhausted(res, truePos, tau), nil
-			}
-			return res, err
-		}
+	for i, l := range labels {
 		res.SampleTasks++
-		sampled[id] = true
-		if g.Matches(labels) {
+		sampled[sample[i]] = true
+		if g.Matches(l) {
 			truePos++
 		}
+	}
+	if err != nil {
+		// Budget exhausted mid-sample: settle on the committed prefix.
+		return classifierExhausted(res, truePos, tau), nil
 	}
 	res.EstFPRate = 1 - float64(truePos)/float64(sampleSize)
 
 	// Line 4-5: eliminate false positives.
-	verified := 0
-	var exactClean bool
+	var verified, tasks int
+	var exactClean, exhausted bool
 	if res.EstFPRate < opts.FPRateThreshold {
 		res.Strategy = StrategyPartition
-		confirmed, drained, tasks, err := partitionClean(o, predicted, n, tau, g)
-		res.CleanupTasks = tasks
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				return classifierExhausted(res, confirmed, tau), nil
-			}
-			return res, err
-		}
-		verified = confirmed
-		exactClean = drained
+		verified, exactClean, tasks, exhausted, err = e.partitionCleanRounds(predicted, n, tau, g)
 	} else {
 		res.Strategy = StrategyLabel
-		// Algorithm 5 Label: point-label G, reusing the sample's
-		// labels, stopping early at tau verified members.
-		verified = truePos
-		exactClean = true
-		for _, id := range predicted {
-			if verified >= tau {
-				exactClean = false // stopped early: count is a bound
-				break
-			}
-			if sampled[id] {
-				continue
-			}
-			labels, err := o.PointQuery(id)
-			if err != nil {
-				if errors.Is(err, ErrBudgetExhausted) {
-					return classifierExhausted(res, verified, tau), nil
-				}
-				return res, err
-			}
-			res.CleanupTasks++
-			if g.Matches(labels) {
-				verified++
-			}
-		}
+		verified, exactClean, tasks, exhausted, err = e.labelCleanRounds(predicted, sampled, truePos, tau, g)
+	}
+	if err != nil {
+		return res, err
+	}
+	res.CleanupTasks = tasks
+	if exhausted {
+		return classifierExhausted(res, verified, tau), nil
 	}
 
 	return classifierFinish(o, ids, inPredicted, n, tau, verified, exactClean, g, res)
+}
+
+// classifierInputs validates a Classifier-Coverage call, resolves the
+// option defaults in place, and indexes the predicted set.
+func classifierInputs(o Oracle, ids, predicted []dataset.ObjectID, n, tau int, opts *ClassifierOptions) (map[dataset.ObjectID]bool, error) {
+	if o == nil {
+		return nil, errors.New("core: nil oracle")
+	}
+	if opts.Rng == nil {
+		return nil, errors.New("core: ClassifierCoverage needs options.Rng")
+	}
+	if opts.SampleFraction == 0 {
+		opts.SampleFraction = 0.10
+	}
+	if opts.FPRateThreshold == 0 {
+		opts.FPRateThreshold = 0.25
+	}
+	if opts.SampleFraction < 0 || opts.SampleFraction > 1 || opts.FPRateThreshold < 0 || opts.FPRateThreshold > 1 {
+		return nil, fmt.Errorf("core: invalid options %+v", *opts)
+	}
+	if n < 1 || tau < 0 {
+		return nil, fmt.Errorf("core: invalid parameters (n=%d tau=%d)", n, tau)
+	}
+	inIDs := make(map[dataset.ObjectID]bool, len(ids))
+	for _, id := range ids {
+		inIDs[id] = true
+	}
+	inPredicted := make(map[dataset.ObjectID]bool, len(predicted))
+	for _, id := range predicted {
+		if !inIDs[id] {
+			return nil, fmt.Errorf("core: predicted object %d not in dataset", id)
+		}
+		if inPredicted[id] {
+			return nil, fmt.Errorf("core: duplicate predicted object %d", id)
+		}
+		inPredicted[id] = true
+	}
+	return inPredicted, nil
 }
 
 // classifierExhausted settles a classifier audit whose budget ran out:
@@ -277,8 +281,7 @@ func classifierExhausted(res ClassifierResult, verified, tau int) ClassifierResu
 }
 
 // sampleBudget sizes the precision sample: ceil(fraction * |G|),
-// clamped into [1, |G|]. Both engines share it so their samples are
-// identical.
+// clamped into [1, |G|].
 func sampleBudget(fraction float64, predicted int) int {
 	size := int(math.Ceil(fraction * float64(predicted)))
 	if size < 1 {
@@ -290,13 +293,11 @@ func sampleBudget(fraction float64, predicted int) int {
 	return size
 }
 
-// classifierFinish is lines 6-7 of Algorithm 4, shared by the
-// sequential and the batched engine so their settle logic cannot drift
-// apart: enough verified positives end the audit; otherwise
-// Group-Coverage hunts the remaining tau - verified false negatives in
-// D - G. The residual search is a single adaptive query chain (each
-// set query depends on the previous answer), so both engines run it
-// sequentially.
+// classifierFinish is lines 6-7 of Algorithm 4: enough verified
+// positives end the audit; otherwise Group-Coverage hunts the
+// remaining tau - verified false negatives in D - G. The residual
+// search is a single adaptive query chain (each set query depends on
+// the previous answer), so it runs one query at a time.
 func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau, verified int, exactClean bool, g pattern.Group, res ClassifierResult) (ClassifierResult, error) {
 	// Line 6: enough verified positives end the audit.
 	if verified >= tau {
@@ -326,17 +327,129 @@ func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.
 	return res, nil
 }
 
-// partitionClean is the Partition function of Algorithm 5: it verifies
-// the predicted-positive set with divide-and-conquer reverse set
-// queries ("is anyone here NOT in g?"). A "no" confirms the whole
-// subset as genuine members; a "yes" splits it, isolating false
-// positives in singletons. A "no" on a left child implies — task-free —
-// a "yes" on its right sibling. It stops early once stopAt members are
-// confirmed, and reports whether it drained the whole set (making the
-// confirmed count exact).
-func partitionClean(o Oracle, predicted []dataset.ObjectID, n, stopAt int, g pattern.Group) (confirmed int, drained bool, tasks int, err error) {
+// classifierEngine posts the rounds of one classifier audit. bo is the
+// audit's oracle stack as a BatchOracle; gov, when non-nil, is the
+// budget governor inside that stack, whose headroom narrows the
+// speculative rounds.
+type classifierEngine struct {
+	bo  BatchOracle
+	gov *BudgetedOracle
+	ctx context.Context
+}
+
+// pointRound posts one round of point queries. The answers are the
+// committed prefix: all of them, or — with ErrBudgetExhausted — the
+// part the budget admitted. Any other failure aborts the audit. A
+// cancelled context fails the round before it reaches the oracle.
+func (e *classifierEngine) pointRound(ids []dataset.ObjectID) ([][]int, error) {
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	labels, err := e.bo.PointQueryBatch(ids)
+	if err == nil && len(labels) < len(ids) {
+		err = errShortBatch(len(labels), len(ids))
+	}
+	return labels, err
+}
+
+// reverseRound posts one round of reverse set queries ("is anyone here
+// NOT in g?"); see pointRound for the committed-prefix convention.
+func (e *classifierEngine) reverseRound(sets [][]dataset.ObjectID, g pattern.Group) ([]bool, error) {
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
+	}
+	reqs := make([]SetRequest, len(sets))
+	for i, ids := range sets {
+		reqs[i] = SetRequest{IDs: ids, Group: g, Reverse: true}
+	}
+	answers, err := e.bo.SetQueryBatch(reqs)
+	if err == nil && len(answers) < len(reqs) {
+		err = errShortBatch(len(answers), len(reqs))
+	}
+	return answers, err
+}
+
+// labelCleanRounds is the Label function of Algorithm 5 in bounded
+// rounds: it point-labels the unsampled predicted objects, reusing the
+// sample's labels, in rounds of min(max(1, tau - verified), budget
+// headroom) queries — the confirmations still missing when the round
+// is posted, narrowed to what the remaining budget affords — and
+// commits the answers in predicted-set order. The walk mirrors the
+// paper's one-at-a-time loop exactly: it stops at the first index
+// where verified >= tau (marking the count a bound, not exact) and
+// discards any in-flight answers past the stop, so the committed task
+// count is both width-independent and equal to the loop's. A budget
+// exhaustion commits the affordable prefix and reports exhausted.
+func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sampled map[dataset.ObjectID]bool, truePos, tau int, g pattern.Group) (verified int, exactClean bool, tasks int, exhausted bool, err error) {
+	verified = truePos
+	exactClean = true
+	var round [][]int // committed answers of the current round
+	var roundIDs []dataset.ObjectID
+	pos := 0 // next uncommitted answer within the round
+	for i := 0; i < len(predicted); i++ {
+		if verified >= tau {
+			exactClean = false // stopped early: count is a bound
+			return verified, exactClean, tasks, false, nil
+		}
+		id := predicted[i]
+		if sampled[id] {
+			continue
+		}
+		if pos >= len(roundIDs) {
+			// Post the next round: the next max(1, tau - verified)
+			// unsampled objects from position i onward, clipped to the
+			// budget's point-query headroom (floored at one so an
+			// exhausted budget surfaces as a refusal, not a spin).
+			want := tau - verified
+			if h := headroomOf(e.gov, HITPoint, 1); h < want {
+				want = h
+			}
+			if want < 1 {
+				want = 1
+			}
+			roundIDs = roundIDs[:0]
+			for j := i; j < len(predicted) && len(roundIDs) < want; j++ {
+				if !sampled[predicted[j]] {
+					roundIDs = append(roundIDs, predicted[j])
+				}
+			}
+			round, err = e.pointRound(roundIDs)
+			if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+				return verified, exactClean, tasks, false, err
+			}
+			pos = 0
+		}
+		if pos >= len(round) {
+			return verified, exactClean, tasks, true, nil // budget exhausted
+		}
+		labels := round[pos]
+		pos++
+		tasks++
+		if g.Matches(labels) {
+			verified++
+		}
+	}
+	return verified, exactClean, tasks, false, nil
+}
+
+// partitionCleanRounds is the Partition function of Algorithm 5 in
+// clipped rounds: the paper's FIFO queue drives the walk, but each
+// iteration posts the front of the queue as one reverse-set round. The
+// clip takes nodes until their cumulative size reaches stopAt -
+// confirmed (posting more is pure speculation: were every posted node
+// clean, the early stop would already fire) and never more queries
+// than the budget's headroom affords, always at least one node. Commit
+// semantics are the paper's, verbatim: a "no" confirms the range and
+// may infer a task-free "yes" on its right sibling — wherever that
+// sibling sits, in this round (its in-flight answer is discarded) or
+// still unposted in the queue — a "yes" splits the range, isolating
+// false positives in singletons, a committed walk reaching stopAt
+// returns immediately discarding the rest of its round, and a full
+// drain makes the confirmed count exact. Round composition depends
+// only on committed answers, never on the pool width.
+func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n, stopAt int, g pattern.Group) (confirmed int, drained bool, tasks int, exhausted bool, err error) {
 	if len(predicted) == 0 {
-		return 0, true, 0, nil
+		return 0, true, 0, false, nil
 	}
 	q := newQueue()
 	for i := 0; i < len(predicted); i += n {
@@ -347,41 +460,71 @@ func partitionClean(o Oracle, predicted []dataset.ObjectID, n, stopAt int, g pat
 		q.push(&node{b: i, e: end})
 	}
 	for !q.empty() {
-		t := q.pop()
-		hasFP, err := o.ReverseSetQuery(predicted[t.b:t.e], g)
-		if err != nil {
-			return confirmed, false, tasks, err
+		// Clip the round: enough front-of-queue nodes to reach the
+		// remaining need if all confirm, within budget headroom.
+		need := stopAt - confirmed
+		room := headroomOf(e.gov, HITReverseSet, n)
+		batch := make([]*node, 0, q.len())
+		sum := 0
+		for t := q.front(); t != nil; t = q.next(t) {
+			batch = append(batch, t)
+			sum += t.size()
+			if sum >= need || len(batch) >= room {
+				break
+			}
 		}
-		tasks++
+		sets := make([][]dataset.ObjectID, len(batch))
+		for i, t := range batch {
+			sets[i] = predicted[t.b:t.e]
+		}
+		answers, err := e.reverseRound(sets, g)
+		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
+			return confirmed, false, tasks, false, err
+		}
 
-	process:
-		if !hasFP {
-			// The whole range is verified members of g.
-			confirmed += t.size()
-			if confirmed >= stopAt {
-				return confirmed, false, tasks, nil
+		for idx, t := range batch {
+			if !t.inQueue {
+				continue // answered for free by its left sibling
 			}
-			// Sibling inference, mirrored: our parent contains a false
-			// positive and we contain none, so the right sibling must.
-			if t.parent != nil && t == t.parent.left {
-				sib := t.parent.right
-				if sib != nil && sib.inQueue {
-					q.remove(sib)
-					t = sib
-					hasFP = true
-					goto process
+			if idx >= len(answers) {
+				// Budget exhausted: the walk stops at the first
+				// uncommitted answer.
+				return confirmed, false, tasks, true, nil
+			}
+			q.remove(t)
+			hasFP := answers[idx]
+			tasks++
+
+		process:
+			if !hasFP {
+				// The whole range is verified members of g.
+				confirmed += t.size()
+				if confirmed >= stopAt {
+					return confirmed, false, tasks, false, nil
 				}
+				// Sibling inference: our parent contains a false
+				// positive and we contain none, so the right sibling
+				// must.
+				if t.parent != nil && t == t.parent.left {
+					sib := t.parent.right
+					if sib != nil && sib.inQueue {
+						q.remove(sib)
+						t = sib
+						hasFP = true
+						goto process
+					}
+				}
+				continue
 			}
-			continue
+			if t.size() == 1 {
+				continue // isolated false positive: discard
+			}
+			mid := (t.b + t.e) / 2
+			t.left = &node{b: t.b, e: mid, parent: t}
+			t.right = &node{b: mid, e: t.e, parent: t}
+			q.push(t.left)
+			q.push(t.right)
 		}
-		if t.size() == 1 {
-			continue // isolated false positive: discard
-		}
-		mid := (t.b + t.e) / 2
-		t.left = &node{b: t.b, e: mid, parent: t}
-		t.right = &node{b: mid, e: t.e, parent: t}
-		q.push(t.left)
-		q.push(t.right)
 	}
-	return confirmed, true, tasks, nil
+	return confirmed, true, tasks, false, nil
 }

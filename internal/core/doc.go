@@ -5,8 +5,9 @@
 //     procedure deciding whether one group reaches the coverage
 //     threshold tau with Theta(N/n + tau log n) set queries;
 //   - Base-Coverage (Algorithm 7): the point-query baseline;
-//   - Multiple-Coverage (Algorithm 2) with LabelSamples and Aggregate
-//     (Algorithm 6): the super-group heuristic for many groups;
+//   - Multiple-Coverage (Algorithm 2) with LabelSamplesBatch and
+//     Aggregate (Algorithm 6): the super-group heuristic for many
+//     groups;
 //   - Intersectional-Coverage (Algorithm 3): MUP discovery over the
 //     pattern graph of several sensitive attributes;
 //   - Classifier-Coverage (Algorithm 4) with Partition and Label
@@ -18,66 +19,59 @@
 // perfect TruthOracle used in the paper's synthetic experiments, and
 // by test doubles.
 //
-// On top of the sequential algorithms sits the concurrent audit
-// engine:
+// The algorithms run on one audit engine, which posts whole rounds of
+// HITs instead of one query at a time:
 //
 //   - BatchOracle (batch.go) extends Oracle with whole-round
 //     execution, the way HIT groups are actually posted; AsBatchOracle
-//     lifts plain oracles through a bounded worker pool, while
-//     TruthOracle and the crowd platform implement it natively.
+//     lifts plain oracles through a bounded worker pool of
+//     Parallelism goroutines, while TruthOracle and the crowd platform
+//     implement it natively.
+//   - The lockstep scheduler (lockstep.go) runs Multiple- and
+//     Intersectional-Coverage: the sample posts as one point-query
+//     round (parallel.go), then the super-group audits, the
+//     covered-penalty re-audits and the resolution re-audits run as
+//     concurrent tasks that park their queries; each virtual round
+//     commits as one BatchOracle batch in canonical (super-group,
+//     member, query-sequence) order.
+//   - Classifier-Coverage (classifiercoverage.go) posts the precision
+//     sample as one point-query round, the Label phase as bounded
+//     rounds of max(1, tau - verified) point queries whose answers
+//     commit in predicted-set order with a deterministic early stop
+//     (stop at the first index where verified >= tau, discard later
+//     in-flight answers), and the Partition phase as one reverse-set
+//     round per tree level with the paper's sibling inference applied
+//     at commit time.
 //   - CachingOracle (cache.go) deduplicates identical queries on a
 //     canonicalized key (sorted id-set plus group members) with
 //     in-flight collapsing; errors are never cached.
-//   - MultipleOptions.Parallelism (parallel.go) runs Multiple-Coverage
-//     with super-group audits and covered-penalty re-audits fanned
-//     across a worker pool, batched sampling, and per-audit child RNGs
-//     split deterministically from the seed. Verdicts, task counts and
-//     result bytes match the sequential engine exactly for
-//     order-independent oracles at any parallelism.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
-//     jittered backoff drawn from the per-audit child RNG. Over a
-//     natively batching inner oracle a retry re-posts only the
-//     unanswered suffix of the round and splices the answers, so a
-//     partial prefix a budget governor already committed — and paid —
-//     is never charged twice.
-//   - GroupCoverageRounds (rounds.go) issues each tree level as one
-//     SetQueryBatch round, so even the order-dependent crowd simulator
-//     reproduces identical audits at every parallelism setting.
-//   - MultipleOptions.Lockstep (lockstep.go) extends that guarantee to
-//     the whole multi-group engine: concurrent audits advance in
-//     virtual rounds whose queries commit as one BatchOracle round in
-//     canonical (super-group, member, query-sequence) order, so even
-//     order-dependent oracles produce bit-identical verdicts, task
-//     counts and spend at every Parallelism value.
-//   - ClassifierOptions.Parallelism / Lockstep (classifier_parallel.go)
-//     bring Classifier-Coverage under the same contract: the precision
-//     sample posts as one point-query round, the Label phase as
-//     bounded rounds of max(1, tau - verified) point queries whose
-//     answers commit in predicted-set order with a deterministic early
-//     stop (stop at the first index where verified >= tau, discard
-//     later in-flight answers), and the Partition phase as one
-//     reverse-set round per tree level with the sequential sibling
-//     inference applied at commit time. Round composition is a pure
-//     function of committed answers — never of the pool width.
+//     jittered backoff. The retry wrapper sits below the scheduler, so
+//     a transient failure is absorbed inside its round: over a plain
+//     oracle each request retries on its own, and over a natively
+//     batching oracle a retry re-posts only the unanswered suffix of
+//     the round and splices the answers, so a partial prefix a budget
+//     governor already committed — and paid — is never charged twice.
+//   - GroupCoverageRounds (rounds.go) issues each tree level of a
+//     single Group-Coverage audit as one SetQueryBatch round.
 //
-// The determinism contract, by oracle kind:
+// Round composition is a pure function of committed answers — never of
+// Parallelism or of goroutine scheduling. That is the determinism
+// contract:
 //
 //   - order-independent oracles (TruthOracle, stateless crowd bridges,
-//     anything whose answer is a function of the request alone) are
-//     safe with the free-running pool: verdicts and task counts equal
-//     the sequential engine at any Parallelism, with or without
-//     Lockstep.
+//     anything whose answer is a function of the request alone)
+//     reproduce the paper's sequential algorithms exactly — verdicts,
+//     task counts and result bytes — at every Parallelism;
 //   - order-dependent oracles (the crowd Platform, whose worker draws
 //     advance an RNG per HIT; any stateful simulator or aggregator)
-//     need Lockstep for cross-parallelism reproducibility, and must
-//     implement BatchOracle natively with batches executing in request
-//     order — the property the canonical round commit leans on.
+//     produce bit-identical verdicts, task counts and spend at every
+//     Parallelism, provided they implement BatchOracle natively with
+//     batches executing in request order — the property the canonical
+//     round commit leans on.
 //
-// Every audit algorithm in the package now honors the contract —
-// Multiple-, Intersectional- and Classifier-Coverage all batch their
-// rounds and take the Lockstep knob. One asymmetry remains by design:
-// the batched engines count only committed queries in their task
-// tallies (matching the sequential engines exactly), while speculative
+// One asymmetry remains by design: task tallies count only committed
+// queries (matching the paper's loops exactly), while speculative
 // in-flight answers a deterministic early stop discards were still
 // paid HITs — the ledger, not the task count, carries that over-issue.
 //
@@ -92,19 +86,16 @@
 // partial result (Exhausted flags, per-group Settled markers,
 // best-effort bounds from committed answers; Intersectional keeps
 // Unknown verdicts) — never a panic, an error, or a hung round. The
-// batched engines additionally narrow their speculative rounds to the
-// governor's remaining headroom: Label rounds post min(tau - verified,
-// headroom) point queries, and the Partition frontier is clipped to
-// the queue prefix that could still reach the early stop. Under
-// Lockstep the exhaustion point, partial verdicts, committed task
-// counts and ledger spend are byte-identical at every Parallelism
-// value; the free pool charges in arrival order (race-free, not
-// width-reproducible).
+// engine additionally narrows its speculative rounds to the governor's
+// remaining headroom: Label rounds post min(tau - verified, headroom)
+// point queries, and the Partition frontier is clipped to the queue
+// prefix that could still reach the early stop. The exhaustion point,
+// partial verdicts, committed task counts and ledger spend are
+// byte-identical at every Parallelism value.
 //
 // # Checkpoint, resume, and cancellation
 //
-// Because round composition under Lockstep is a pure function of
-// committed answers — never of scheduling or Parallelism — a
+// Because round composition is a pure function of committed answers — never of scheduling or Parallelism — a
 // serialized log of the committed rounds is a complete checkpoint of
 // an audit. The JournalingOracle middleware (journal.go) realizes
 // that: wrapped around the top of an oracle stack it appends one
@@ -126,16 +117,14 @@
 // unbudgeted). Journaling composes with the stack order cache ->
 // journal -> governor -> platform: the cache above the journal replays
 // its misses deterministically and re-fills from the recorded answers;
-// a governor below it is snapshot/restored per round. Free-running
-// pools issue queries in arrival order, so journal replay is only
-// resume-safe under Lockstep.
+// a governor below it is snapshot/restored per round.
 //
 // Cancellation rides the same round boundaries: MultipleOptions.Ctx /
-// ClassifierOptions.Ctx thread a context.Context through the engines,
+// ClassifierOptions.Ctx thread a context.Context through the engine,
 // and a cancelled context fails the next round before it reaches the
-// oracle — checked in the lockstep commit path, at pool dispatch, in
-// the journaling middleware, and in the retry backoff (which selects
-// on the context instead of sleeping through it). A killed job
+// oracle — checked in the lockstep commit path, before each classifier
+// round, in the journaling middleware, and in the retry backoff (which
+// selects on the context instead of sleeping through it). A killed job
 // therefore never half-posts a round: every round either committed
 // (and was journaled) or never touched the crowd, which is what makes
 // kill-at-round-K exactly resumable.
@@ -186,8 +175,8 @@
 //     least one eligible worker.
 //
 // The middleware inherits every determinism guarantee it sits on:
-// under Lockstep the probe schedule, trust scores and screening
-// decisions are byte-identical at every Parallelism (the
+// the probe schedule, trust scores and screening decisions are
+// byte-identical at every Parallelism (the
 // robustness-frontier golden and the adversarial conformance matrix at
 // P in {1, 2, 4, 16} pin this), and because trust sits above the
 // journal, probe-augmented rounds are journaled — a resumed audit

@@ -58,10 +58,10 @@ type IntersectionalResult struct {
 // partial overlaps with an uncovered super-group — the algorithm
 // resolves the pattern with one additional Group-Coverage run, so
 // every verdict is definite. Those resolution re-audits are mutually
-// independent, so with opts.Parallelism > 1 they dispatch across the
-// same bounded worker pool as the leaf audits; results settle in
-// pattern-universe order, keeping verdicts, MUPs and task counts
-// identical to the sequential engine for order-independent oracles.
+// independent, so they run as concurrent tasks on the same lockstep
+// scheduler as the leaf audits; results settle in pattern-universe
+// order, keeping verdicts, MUPs and task counts identical at every
+// Parallelism.
 func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pattern.Schema, opts MultipleOptions) (*IntersectionalResult, error) {
 	if s == nil {
 		return nil, errors.New("core: nil schema")
@@ -123,16 +123,16 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		}
 		res.Verdicts[p.Key()] = v
 	}
-	// Retry wraps each re-audit with its own child RNG like every
-	// other audit phase; the child seeds are drawn only when a policy
-	// is set, so retry-free runs leave opts.Rng untouched. The audits
-	// dispatch free-running or in lockstep rounds per opts.Lockstep,
-	// with pattern-universe order as the canonical task order.
+	// The re-audits run as lockstep tasks in pattern-universe order.
+	// Their retry jitter, like every audit phase's, draws from a child
+	// seed; the seeds are drawn only when a policy is set, so retry-free
+	// runs leave opts.Rng untouched.
 	var seeds []int64
 	if opts.Retry.Enabled() {
 		seeds = splitSeeds(opts.Rng, len(unresolved))
 	}
-	err = runAuditPool(o, opts, seeds, len(unresolved), func(i int, audit Oracle) error {
+	ctx := opts.context()
+	err = runLockstep(ctx, auditRounds(ctx, o, opts.Retry, seeds), opts.Parallelism, len(unresolved), func(i int, audit Oracle) error {
 		r := &unresolved[i]
 		var e error
 		r.audit, e = GroupCoverage(audit, mres.RemainingIDs, n, clampTau(tau-r.labeled), r.group)
@@ -142,7 +142,7 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		return nil, err
 	}
 	// Settle in universe order, so task accounting and verdicts are
-	// identical to the sequential engine at every parallelism level.
+	// identical at every parallelism level.
 	res.Exhausted = mres.Exhausted
 	for _, r := range unresolved {
 		v := res.Verdicts[r.pattern.Key()]

@@ -36,9 +36,10 @@ func resolvedCount(res *IntersectionalResult) int {
 }
 
 // TestParallelResolutionEquivalenceRandomized: across random
-// compositions and thresholds, the parallel resolution phase must
-// reproduce the sequential engine exactly — verdicts, MUPs, resolution
-// task counts, and the oracle's task tally — and the sweep must
+// compositions and thresholds, the resolution phase at every width
+// must reproduce the width-1 run (itself checked against ground truth)
+// exactly — verdicts, MUPs, resolution task counts, and the oracle's
+// task tally — and the sweep must
 // actually exercise the resolution phase (straddling patterns).
 func TestParallelResolutionEquivalenceRandomized(t *testing.T) {
 	schemas := []*pattern.Schema{genderRaceSchema(), threeBinarySchema()}
@@ -148,8 +149,9 @@ func TestParallelResolutionPropagatesErrors(t *testing.T) {
 
 // TestResolutionHonorsRetryPolicy: a retry budget must absorb
 // transient failures in the resolution phase too — not just in the
-// leaf audits — sequentially and in parallel, with verdicts matching
-// ground truth.
+// leaf audits — at width 1 and 8, with verdicts matching ground
+// truth. Retries sit below the lockstep scheduler, so a transient HIT
+// is re-posted inside its round instead of failing every parked task.
 func TestResolutionHonorsRetryPolicy(t *testing.T) {
 	s := genderRaceSchema()
 	counts := make([]int, s.NumSubgroups())

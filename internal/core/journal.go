@@ -32,10 +32,9 @@ const (
 )
 
 // RoundRecord is one committed oracle round: the checkpoint unit of an
-// audit. Under Lockstep every batch call the audit makes — the
-// sampling round, each canonical lockstep round's set and point
-// batches, and the single-query rounds of sequential phases — is one
-// record, so the record sequence is a pure function of committed
+// audit. Every batch call the audit makes — the sampling round, each
+// canonical lockstep round's set and point batches, and the
+// single-query rounds of one-query-at-a-time phases — is one record, so the record sequence is a pure function of committed
 // answers and replays exactly. All fields are JSON-serializable for
 // the file codec in internal/journal.
 type RoundRecord struct {
@@ -88,9 +87,8 @@ var ErrJournalMismatch = errors.New("core: journal replay mismatch")
 // Every Oracle and BatchOracle method funnels through the same
 // one-round-per-batch path under one mutex, so rounds serialize and
 // each record hits the journal before the next round can commit;
-// single queries journal as one-element rounds. Replay is only
-// resume-safe for deterministic round sequences — under Lockstep, or
-// for single-task sequential audits.
+// single queries journal as one-element rounds. Replay is resume-safe
+// because every audit's round sequence is deterministic.
 type JournalingOracle struct {
 	inner   Oracle
 	journal RoundJournal

@@ -47,8 +47,7 @@ func journalAudit(t *testing.T, d *dataset.Dataset, jo *JournalingOracle, seed i
 	s := raceSchema()
 	groups := pattern.GroupsForAttribute(s, 0)
 	res, err := MultipleCoverage(jo, d.IDs(), 20, 20, groups, MultipleOptions{
-		Rng:      rand.New(rand.NewSource(seed)),
-		Lockstep: true,
+		Rng: rand.New(rand.NewSource(seed)),
 	})
 	if err != nil {
 		t.Fatalf("MultipleCoverage: %v", err)

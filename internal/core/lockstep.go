@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -11,13 +10,12 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// This file is the deterministic lockstep scheduler behind
-// MultipleOptions.Lockstep. The free-running engine (parallel.go) is
-// bit-equal across parallelism levels only for order-independent
-// oracles: an order-dependent oracle like the crowd Platform consumes
-// its RNG per HIT in arrival order, and arrival order under a
-// free-running pool depends on goroutine interleaving. Lockstep
-// removes that dependence by executing audits in virtual rounds:
+// This file is the deterministic lockstep scheduler: the one engine
+// every audit algorithm runs on. An order-dependent oracle like the
+// crowd Platform consumes its RNG per HIT in arrival order, so a
+// schedule that let goroutine interleaving pick the order would not be
+// reproducible. Lockstep removes that dependence by executing audits
+// in virtual rounds:
 //
 //   - every audit task runs in its own goroutine regardless of
 //     Parallelism, so the set of concurrently live tasks — and with it
@@ -33,13 +31,15 @@ import (
 //   - answers release the tasks, which compute to their next query.
 //
 // Because round composition and commit order are both schedule-free,
-// an order-dependent oracle that implements BatchOracle natively (the
-// crowd Platform answers a batch in request order under one lock) sees
-// the identical query sequence at every Parallelism value, making the
-// full crowdsourced pipeline — worker draws, Dawid-Skene-style
-// aggregation, pricing — bit-for-bit reproducible. Parallelism only
-// bounds the pool AsBatchOracle uses to lift oracles without native
-// batching, so batched rounds still amortize per-HIT crowd latency.
+// an oracle that implements BatchOracle natively with batches executing
+// in request order (the crowd Platform answers a batch under one lock)
+// sees the identical query sequence at every Parallelism value, making
+// the full crowdsourced pipeline — worker draws, Dawid-Skene-style
+// aggregation, pricing — bit-for-bit reproducible. An order-independent
+// oracle additionally reproduces the paper's sequential loops exactly.
+// Parallelism only bounds the pool AsBatchOracle uses to lift oracles
+// without native batching, so batched rounds still amortize per-HIT
+// crowd latency.
 
 // lockstepQuery is one parked oracle query awaiting its round.
 type lockstepQuery struct {
@@ -152,7 +152,7 @@ func (s *lockstep) maybeCommit() {
 		s.err = s.ctx.Err()
 	}
 	if s.err != nil {
-		failRound(round, s.err)
+		failQueries(round, s.err)
 	} else {
 		s.commit(round)
 	}
@@ -166,15 +166,17 @@ func (s *lockstep) maybeCommit() {
 // second, each kind as a single batch in canonical order. A batch
 // error fails the failing queries uniformly — every parked task behind
 // the failure sees the same error, so which error surfaces never
-// depends on scheduling, and a task-side retry policy re-parks its
-// query in a later round (re-posting the round's HITs, the price of
-// keeping failure handling deterministic). A partial-prefix batch (a
-// BudgetedOracle admitting only what the remaining budget affords)
-// delivers the committed prefix's answers to their tasks and fails the
-// rest of the round — the unadmitted sets AND every point query, which
-// sit after the sets in canonical order — with the batch's error, so a
-// budget exhausts at one deterministic point in the canonical query
-// sequence and no task ever hangs on an unanswered round.
+// depends on scheduling. Under a retry policy the retry wrapper sits
+// below the scheduler (auditRounds) and absorbs transient failures
+// inside the batch, so only a HIT that exhausts its attempts fails a
+// round. A partial-prefix
+// batch (a BudgetedOracle admitting only what the remaining budget
+// affords) delivers the committed prefix's answers to their tasks and
+// fails the rest of the round — the unadmitted sets AND every point
+// query, which sit after the sets in canonical order — with the
+// batch's error, so a budget exhausts at one deterministic point in the
+// canonical query sequence and no task ever hangs on an unanswered
+// round.
 func (s *lockstep) commit(round []*lockstepQuery) {
 	sets, points := s.sets[:0], s.points[:0]
 	for _, q := range round {
@@ -219,11 +221,6 @@ func (s *lockstep) commit(round []*lockstepQuery) {
 	for _, q := range round {
 		q.done = true
 	}
-}
-
-// failRound delivers one error to every query of a round.
-func failRound(round []*lockstepQuery, err error) {
-	failQueries(round, err)
 }
 
 // failQueries delivers one error to a subset of a round's queries.
@@ -307,33 +304,6 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 	}
 	wg.Wait()
 	return firstError(errs)
-}
-
-// runAuditPool dispatches n independent audits on the engine selected
-// by the options: lockstep rounds when opts.Lockstep, the free-running
-// bounded pool otherwise. seeds, when non-nil and retries are enabled,
-// hand audit i a retry wrapper with its own child jitter RNG; under
-// lockstep the wrapper sits task-side, so a retried query simply parks
-// again in a later round.
-func runAuditPool(o Oracle, opts MultipleOptions, seeds []int64, n int, fn func(i int, audit Oracle) error) error {
-	ctx := opts.context()
-	wrap := func(base Oracle, i int) Oracle {
-		if seeds == nil || !opts.Retry.Enabled() {
-			return base
-		}
-		return withRetry(ctx, base, opts.Retry, rand.New(rand.NewSource(seeds[i])))
-	}
-	if opts.Lockstep {
-		return runLockstep(ctx, o, opts.Parallelism, n, func(i int, audit Oracle) error {
-			return fn(i, wrap(audit, i))
-		})
-	}
-	return RunBounded(opts.Parallelism, n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return fn(i, wrap(o, i))
-	})
 }
 
 // DelayOracle adds a fixed per-query wall-clock delay in front of an

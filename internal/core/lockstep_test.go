@@ -22,9 +22,9 @@ func multipleRepr(r *MultipleResult) string {
 }
 
 // TestLockstepMatchesSequentialEngine: with an order-independent
-// oracle the lockstep scheduler must reproduce the sequential
-// Algorithm 2 byte-for-byte at every Parallelism value — the property
-// the golden-file harness regression rides on.
+// oracle the lockstep scheduler must reproduce the paper's sequential
+// Algorithm 2 (multipleCoverageReference) byte-for-byte at every
+// Parallelism value — the property the golden-file harness rides on.
 func TestLockstepMatchesSequentialEngine(t *testing.T) {
 	s := raceSchema()
 	groups := pattern.GroupsForAttribute(s, 0)
@@ -36,17 +36,17 @@ func TestLockstepMatchesSequentialEngine(t *testing.T) {
 	}
 	for ci, counts := range compositions {
 		d := dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(int64(190+ci))))
-		base, baseTasks := runMultiple(t, d, groups, 50, 1, 7)
+		base, baseTasks := runMultipleReference(t, d, groups, 50, 7)
 		baseRepr := multipleRepr(base)
 		for _, par := range []int{0, 1, 4, 16} {
 			o := NewTruthOracle(d)
 			res, err := MultipleCoverage(o, d.IDs(), 50, 50, groups,
-				MultipleOptions{Rng: rand.New(rand.NewSource(7)), Parallelism: par, Lockstep: true})
+				MultipleOptions{Rng: rand.New(rand.NewSource(7)), Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := multipleRepr(res); got != baseRepr {
-				t.Errorf("composition %d: lockstep P=%d diverged from sequential engine:\n%s\nvs\n%s",
+				t.Errorf("composition %d: lockstep P=%d diverged from the sequential reference:\n%s\nvs\n%s",
 					ci, par, got, baseRepr)
 			}
 			if tasks := o.Tasks(); tasks != baseTasks {
@@ -56,8 +56,9 @@ func TestLockstepMatchesSequentialEngine(t *testing.T) {
 	}
 }
 
-// TestLockstepIntersectionalMatchesSequential: the resolution phase's
-// lockstep dispatch must agree with the sequential engine too.
+// TestLockstepIntersectionalMatchesSequential: the leaf audit must
+// agree with the paper's sequential Algorithm 2, and the verdicts and
+// MUPs must not depend on the width.
 func TestLockstepIntersectionalMatchesSequential(t *testing.T) {
 	s := pattern.MustSchema(
 		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
@@ -69,9 +70,17 @@ func TestLockstepIntersectionalMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	leaves, err := multipleCoverageReference(NewTruthOracle(d), d.IDs(), 30, 30, pattern.SubgroupGroups(s),
+		MultipleOptions{Rng: rand.New(rand.NewSource(8)), Multi: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := multipleRepr(seq.Multiple), multipleRepr(leaves); got != want {
+		t.Errorf("leaf audit diverged from the sequential reference:\n%s\nvs\n%s", got, want)
+	}
 	for _, par := range []int{1, 4, 16} {
 		lock, err := IntersectionalCoverage(NewTruthOracle(d), d.IDs(), 30, 30, s,
-			MultipleOptions{Rng: rand.New(rand.NewSource(8)), Parallelism: par, Lockstep: true})
+			MultipleOptions{Rng: rand.New(rand.NewSource(8)), Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +183,7 @@ func TestLockstepOrderDependentOracleIsParallelismInvariant(t *testing.T) {
 	for i, par := range []int{1, 2, 4, 16} {
 		o := &sequenceOracle{truth: NewTruthOracle(d), flipEvery: 9}
 		res, err := MultipleCoverage(o, d.IDs(), 20, 40, groups,
-			MultipleOptions{Rng: rand.New(rand.NewSource(9)), Parallelism: par, Lockstep: true})
+			MultipleOptions{Rng: rand.New(rand.NewSource(9)), Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +206,7 @@ func TestLockstepPenaltyBranch(t *testing.T) {
 	d := dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(202)))
 	groups := pattern.GroupsForAttribute(s, 0)
 	res, err := MultipleCoverage(NewTruthOracle(d), d.IDs(), 50, 50, groups,
-		MultipleOptions{Rng: rand.New(rand.NewSource(11)), Parallelism: 8, NoSampling: true, Lockstep: true})
+		MultipleOptions{Rng: rand.New(rand.NewSource(11)), Parallelism: 8, NoSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +230,8 @@ func TestLockstepPenaltyBranch(t *testing.T) {
 	}
 }
 
-// TestLockstepRetryRecoversTransientFailures: task-side retries park
-// the failed query again in a later round instead of aborting.
+// TestLockstepRetryRecoversTransientFailures: round-side retries
+// re-post a failed HIT inside its round instead of aborting.
 func TestLockstepRetryRecoversTransientFailures(t *testing.T) {
 	s := raceSchema()
 	counts := []int{400, 10, 60, 10}
@@ -234,7 +243,6 @@ func TestLockstepRetryRecoversTransientFailures(t *testing.T) {
 		res, err := MultipleCoverage(flaky, d.IDs(), 20, tau, groups, MultipleOptions{
 			Rng:         rand.New(rand.NewSource(2)),
 			Parallelism: par,
-			Lockstep:    true,
 			Retry:       RetryPolicy{MaxAttempts: 4},
 		})
 		if err != nil {
@@ -261,7 +269,7 @@ func TestLockstepErrorIsDeterministic(t *testing.T) {
 		for _, par := range []int{1, 4, 16} {
 			flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 23}
 			_, err := MultipleCoverage(flaky, d.IDs(), 20, 20, groups,
-				MultipleOptions{Rng: rand.New(rand.NewSource(1)), Parallelism: par, Lockstep: true})
+				MultipleOptions{Rng: rand.New(rand.NewSource(1)), Parallelism: par})
 			if !errors.Is(err, ErrTransient) {
 				t.Fatalf("P=%d: err = %v, want transient failure propagated", par, err)
 			}
@@ -298,8 +306,8 @@ func TestRunBoundedSurfacesLowestIndexedError(t *testing.T) {
 		if !errors.Is(err, err2) {
 			t.Fatalf("rep %d: err = %v, want %v (lowest-indexed failure)", rep, err, err2)
 		}
-		// Every task below the surfaced failure must have run — the
-		// sequential engine would have paid for them too.
+		// Every task below the surfaced failure must have run — a
+		// one-at-a-time walk would have paid for them too.
 		for i := 0; i < 2; i++ {
 			if _, ok := ran.Load(i); !ok {
 				t.Errorf("rep %d: task %d below the failure never ran", rep, i)

@@ -13,11 +13,9 @@ import (
 
 var errNilOracleOrSet = errors.New("core: nil oracle or labeled set")
 
-// chooseSamples is the selection step shared by LabelSamples and
-// LabelSamplesBatch: it draws up to k random indices and splits the
+// chooseSamples is the selection step of the sampling phase
+// (LabelSamplesBatch): it draws up to k random indices and splits the
 // ids into the chosen sample and the remainder, both in input order.
-// Sharing the chooser (and its RNG consumption) is what keeps the
-// sequential and batched sampling phases bit-for-bit interchangeable.
 func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (sample, remaining []dataset.ObjectID, err error) {
 	if l == nil {
 		return nil, nil, errNilOracleOrSet
@@ -45,34 +43,6 @@ func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand)
 		}
 	}
 	return sample, remaining, nil
-}
-
-// LabelSamples is the sampling phase of section 4 (Algorithm 6): it
-// draws up to k random objects, labels each with a point query, moves
-// them into the labeled set L, and returns the remaining ids (order
-// preserved). The paper uses k = c*tau with c = 2: enough point
-// queries to confirm majority groups outright while estimating the
-// frequencies of the minorities.
-func LabelSamples(o Oracle, ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (remaining []dataset.ObjectID, tasks int, err error) {
-	if o == nil {
-		return nil, 0, errNilOracleOrSet
-	}
-	sample, remaining, err := chooseSamples(ids, k, l, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, id := range sample {
-		labels, err := o.PointQuery(id)
-		if err != nil {
-			// The chosen-but-unlabeled suffix stays outside both L and
-			// remaining; callers translating a budget exhaustion into a
-			// partial result still get a valid (sample-free) remainder.
-			return remaining, tasks, err
-		}
-		tasks++
-		l.Add(id, labels)
-	}
-	return remaining, tasks, nil
 }
 
 // ExpectedCount extrapolates |g| from the labeled sample:
@@ -236,35 +206,27 @@ type MultipleOptions struct {
 	NoSampling bool
 	// Multi applies the same-parent aggregation rule (intersectional).
 	Multi bool
-	// Rng drives sampling and seeds the per-audit child RNGs of the
-	// concurrent engine; required.
+	// Rng drives sampling and the child seeds of the audit rounds;
+	// required.
 	Rng *rand.Rand
-	// Parallelism bounds the worker pool of the concurrent engine:
-	// independent super-group audits (and the per-member re-audits of
-	// the covered-penalty branch) run across up to Parallelism
-	// goroutines, and the sampling phase is issued as one batched
-	// oracle round. Zero or one runs the sequential Algorithm 2
-	// verbatim. The oracle must be safe for concurrent use; with an
-	// order-independent oracle (TruthOracle, any stateless crowd
-	// bridge) verdicts and task counts are identical to the sequential
-	// engine for every Parallelism value.
+	// Parallelism bounds the pool that lifts an oracle without native
+	// batching (see AsBatchOracle): each lockstep round's queries run
+	// across up to Parallelism goroutines. Values <= 1 mean width 1.
+	// The audit itself always runs in lockstep rounds whose
+	// composition and commit order never depend on the width, so
+	// results are bit-identical at every value; the oracle must be
+	// safe for concurrent use when Parallelism > 1.
 	Parallelism int
-	// Lockstep replaces the free-running pool with the deterministic
-	// round scheduler (lockstep.go): concurrent audits park their
-	// oracle queries, whole rounds commit in canonical (super-group,
-	// member, query-sequence) order through one BatchOracle call, and
-	// the schedule never depends on Parallelism. With an oracle whose
-	// batches execute in request order (the crowd Platform, TruthOracle,
-	// any native BatchOracle honoring the contract) results are
-	// bit-for-bit identical at every Parallelism value even when
-	// answers depend on query order; Parallelism then only bounds the
-	// pool that lifts non-batching oracles, preserving the latency win
-	// of batched rounds. Order-independent oracles additionally
-	// reproduce the sequential engine exactly.
+	// Lockstep is ignored.
+	//
+	// Deprecated: every audit runs on the lockstep scheduler.
 	Lockstep bool
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
-	// of aborting the audit; jitter is drawn from per-audit child RNGs
-	// split deterministically from Rng.
+	// of aborting the audit. The retry wrapper sits below the
+	// scheduler, so one flaky HIT never fails a whole round: a plain
+	// oracle retries each request on its own, a natively batching one
+	// re-posts only the failed suffix. Backoff jitter draws from Rng
+	// during sampling and from child RNGs seeded from it afterwards.
 	Retry RetryPolicy
 	// Budget caps the committed crowd queries of this audit: the engine
 	// wraps the oracle in a BudgetedOracle governor and, when the cap
@@ -272,15 +234,14 @@ type MultipleOptions struct {
 	// unsettled groups carrying best-effort bounds) instead of an
 	// error. An oracle that already is a *BudgetedOracle — the Auditor
 	// shares one governor across audits — is reused and this field is
-	// ignored. Exhaustion is byte-identical across Parallelism only
-	// under Lockstep; the free-running pool charges queries in arrival
-	// order.
+	// ignored. Queries are charged in canonical commit order, so the
+	// exhaustion point is byte-identical at every Parallelism.
 	Budget Budget
 	// Ctx cancels the audit at round boundaries: a cancelled context
 	// fails the next oracle round before it reaches the crowd (checked
-	// in the lockstep commit path, at pool dispatch, in the journaling
-	// middleware and in the retry backoff), so a killed job never
-	// half-posts a round. Nil means context.Background().
+	// in the lockstep commit path, in the journaling middleware and in
+	// the retry backoff), so a killed job never half-posts a round.
+	// Nil means context.Background().
 	Ctx context.Context
 }
 
@@ -292,34 +253,52 @@ func (o MultipleOptions) context() context.Context {
 	return o.Ctx
 }
 
-// MultipleCoverage is Algorithm 2: coverage identification for several
-// groups at once. It first labels c*tau random objects, forms
-// super-groups of expected minorities by Algorithm 6, and audits each
-// super-group with Group-Coverage. An uncovered super-group settles
-// all its members at once (every member is uncovered); a covered one
-// pays the penalty of re-auditing each member individually.
-func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pattern.Group, opts MultipleOptions) (*MultipleResult, error) {
+// sampleFactor validates a Multiple-Coverage call and resolves the
+// sampling constant c.
+func sampleFactor(o Oracle, n, tau int, groups []pattern.Group, opts MultipleOptions) (int, error) {
 	if o == nil {
-		return nil, errors.New("core: nil oracle")
+		return 0, errors.New("core: nil oracle")
 	}
 	if len(groups) == 0 {
-		return nil, errors.New("core: no groups to audit")
+		return 0, errors.New("core: no groups to audit")
 	}
 	if opts.Rng == nil {
-		return nil, errors.New("core: MultipleCoverage needs options.Rng")
+		return 0, errors.New("core: MultipleCoverage needs options.Rng")
 	}
 	c := opts.SampleFactor
 	if c == 0 {
 		c = 2
 	}
 	if c < 0 || n < 1 || tau < 0 {
-		return nil, fmt.Errorf("core: invalid parameters (c=%d n=%d tau=%d)", c, n, tau)
+		return 0, fmt.Errorf("core: invalid parameters (c=%d n=%d tau=%d)", c, n, tau)
+	}
+	return c, nil
+}
+
+// MultipleCoverage is Algorithm 2: coverage identification for several
+// groups at once. It first labels c*tau random objects, forms
+// super-groups of expected minorities by Algorithm 6, and audits each
+// super-group with Group-Coverage. An uncovered super-group settles
+// all its members at once (every member is uncovered); a covered one
+// pays the penalty of re-auditing each member individually.
+//
+// The phases post whole rounds: the sample is one point-query batch,
+// and the super-group audits, then the covered-penalty re-audits, run
+// as concurrent tasks on the lockstep scheduler (lockstep.go), task
+// index = (super-group, member) order. Results settle in super-group
+// order, so verdicts and task counts equal the paper's sequential loop
+// for order-independent oracles and are bit-identical at every
+// Parallelism for any oracle whose batches execute in request order.
+func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pattern.Group, opts MultipleOptions) (*MultipleResult, error) {
+	c, err := sampleFactor(o, n, tau, groups, opts)
+	if err != nil {
+		return nil, err
 	}
 	o, _ = applyBudget(o, opts.Budget)
-	if opts.Lockstep || opts.Parallelism > 1 {
-		return multipleCoverageParallel(o, ids, n, tau, c, groups, opts)
+	ctx := opts.context()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-
 	res := &MultipleResult{
 		Results: make([]MultipleGroupResult, len(groups)),
 		Labeled: NewLabeledSet(),
@@ -328,12 +307,12 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	if opts.NoSampling {
 		budget = 0
 	}
-	ctx := opts.context()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	seqOracle := withRetry(ctx, o, opts.Retry, opts.Rng)
-	remaining, sampleTasks, err := LabelSamples(seqOracle, ids, budget, res.Labeled, opts.Rng)
+
+	// Sampling round: one batch of point queries. Retry jitter draws
+	// from the parent RNG: the batch is issued before any audit task
+	// starts.
+	sampler := AsBatchOracle(withRetry(ctx, o, opts.Retry, opts.Rng), normalizeParallelism(opts.Parallelism))
+	remaining, sampleTasks, err := LabelSamplesBatch(sampler, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
 			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil
@@ -344,34 +323,62 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	res.SampleTasks = sampleTasks
 
 	plans := buildSuperPlans(res.Labeled, tau, groups, Aggregate(res.Labeled, len(ids), tau, groups, opts.Multi))
-	for _, plan := range plans {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// GroupCoverage translates budget exhaustion into a partial
-		// Exhausted result, so the loop simply runs on: once the
-		// governor refuses queries, every later audit returns
-		// exhausted at zero additional cost (or settles for free when
-		// its residual threshold is already met) and settleSuper marks
-		// the affected groups unsettled.
-		gc, err := GroupCoverage(seqOracle, remaining, n, plan.tauPrime, plan.union)
-		if err != nil {
-			return nil, err
-		}
-		subs := make([]GroupResult, 0, len(plan.members))
-		if len(plan.members) > 1 && gc.Covered {
-			// Penalty case: the super-group is covered, which says
-			// nothing about individual members (line 8-12).
-			for _, gi := range plan.members {
-				g := groups[gi]
-				sub, err := GroupCoverage(seqOracle, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
-				if err != nil {
-					return nil, err
-				}
-				subs = append(subs, sub)
+	// One child seed per super-group is part of the audit's Rng
+	// transcript, so a caller reusing Rng afterwards sees one stream at
+	// every width, with or without retries. The audit rounds' retry
+	// jitter draws from the first.
+	audits := auditRounds(ctx, o, opts.Retry, splitSeeds(opts.Rng, len(plans)))
+
+	// Round 1: every super-group union audit is one lockstep task,
+	// task index = super-group index. GroupCoverage translates budget
+	// exhaustion into a partial Exhausted result, so once the governor
+	// refuses queries every later audit returns exhausted at zero
+	// additional cost and settleSuper marks the affected groups
+	// unsettled.
+	unionRes := make([]GroupResult, len(plans))
+	err = runLockstep(ctx, audits, opts.Parallelism, len(plans), func(si int, audit Oracle) error {
+		var e error
+		unionRes[si], e = GroupCoverage(audit, remaining, n, plans[si].tauPrime, plans[si].union)
+		return e
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Round 2: the covered-penalty re-audits (line 8-12) — every member
+	// of every covered multi-member super-group, whose covered union
+	// says nothing about individual members; the canonical task order
+	// is (super-group index, member index).
+	type penaltyJob struct{ si, mi int }
+	var jobs []penaltyJob
+	for si, plan := range plans {
+		if len(plan.members) > 1 && unionRes[si].Covered {
+			for mi := range plan.members {
+				jobs = append(jobs, penaltyJob{si, mi})
 			}
 		}
-		settleSuper(res, plan, gc, subs, groups, len(ids))
+	}
+	subRes := make([]GroupResult, len(jobs))
+	err = runLockstep(ctx, audits, opts.Parallelism, len(jobs), func(j int, audit Oracle) error {
+		job := jobs[j]
+		g := groups[plans[job.si].members[job.mi]]
+		var e error
+		subRes[j], e = GroupCoverage(audit, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
+		return e
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Settle in super-group order, so assembly is deterministic.
+	sub := 0
+	for si, plan := range plans {
+		var subs []GroupResult
+		if len(plan.members) > 1 && unionRes[si].Covered {
+			subs = subRes[sub : sub+len(plan.members)]
+			sub += len(plan.members)
+		}
+		settleSuper(res, plan, unionRes[si], subs, groups, len(ids))
 	}
 	res.Tasks = res.SampleTasks + res.AuditTasks
 	return res, nil
@@ -442,9 +449,7 @@ func buildSuperPlans(l *LabeledSet, tau int, groups []pattern.Group, supers [][]
 
 // settleSuper folds one finished super-group audit — the union verdict
 // gc plus, in the covered-penalty case, the per-member re-audits subs
-// (aligned with plan.members) — into the result. Both the sequential
-// and the concurrent engine settle through this one function, so their
-// verdicts and task accounting cannot drift apart.
+// (aligned with plan.members) — into the result.
 func settleSuper(res *MultipleResult, plan superPlan, gc GroupResult, subs []GroupResult, groups []pattern.Group, universe int) {
 	audit := SuperAudit{
 		GroupIndices:   plan.members,

@@ -22,7 +22,7 @@ func TestLabelSamples(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(100, 20, rng)
 	o := NewTruthOracle(d)
 	l := NewLabeledSet()
-	remaining, tasks, err := LabelSamples(o, d.IDs(), 30, l, rng)
+	remaining, tasks, err := labelSamples(o, d.IDs(), 30, l, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,20 +57,20 @@ func TestLabelSamplesClampsAndValidates(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(10, 2, rng)
 	o := NewTruthOracle(d)
 	l := NewLabeledSet()
-	remaining, tasks, err := LabelSamples(o, d.IDs(), 500, l, rng)
+	remaining, tasks, err := labelSamples(o, d.IDs(), 500, l, rng)
 	if err != nil || tasks != 10 || len(remaining) != 0 {
 		t.Errorf("clamp: tasks=%d remaining=%d err=%v", tasks, len(remaining), err)
 	}
-	if _, _, err := LabelSamples(o, d.IDs(), -1, l, rng); err == nil {
+	if _, _, err := labelSamples(o, d.IDs(), -1, l, rng); err == nil {
 		t.Error("negative k: want error")
 	}
-	if _, _, err := LabelSamples(nil, d.IDs(), 1, l, rng); err == nil {
+	if _, _, err := labelSamples(nil, d.IDs(), 1, l, rng); err == nil {
 		t.Error("nil oracle: want error")
 	}
-	if _, _, err := LabelSamples(o, d.IDs(), 1, nil, rng); err == nil {
+	if _, _, err := labelSamples(o, d.IDs(), 1, nil, rng); err == nil {
 		t.Error("nil labeled set: want error")
 	}
-	if _, _, err := LabelSamples(o, d.IDs(), 1, l, nil); err == nil {
+	if _, _, err := labelSamples(o, d.IDs(), 1, l, nil); err == nil {
 		t.Error("nil rng: want error")
 	}
 }

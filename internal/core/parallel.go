@@ -1,34 +1,23 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"imagecvg/internal/dataset"
-	"imagecvg/internal/pattern"
 )
 
-// This file is the concurrent audit engine behind
-// MultipleOptions.Parallelism: independent super-group audits — and
-// the per-member re-audits of the covered-penalty branch — run across
-// a bounded worker pool, the sampling phase is issued as one batched
-// oracle round, and every audit owns a child RNG split
-// deterministically from the seed so no goroutine ever shares
-// randomness. Results are assembled in super-group order, so with an
-// order-independent oracle the engine is bit-for-bit equivalent to
-// the sequential Algorithm 2 at every parallelism level. With
-// MultipleOptions.Lockstep the audit rounds dispatch through the
-// lockstep scheduler (lockstep.go) instead of the free pool, extending
-// that equivalence to order-dependent oracles.
+// This file holds the pool helpers of the audit engine: the width
+// normalization every layer shares, the bounded worker pool that lifts
+// non-batching oracles (batchAdapter) and fans experiment trials out,
+// the deterministic child-seed split, and the batched sampling phase.
+// The audits themselves run on the lockstep scheduler (lockstep.go);
+// Parallelism never selects an engine, it only sizes these pools.
 
-// normalizeParallelism maps non-positive pool widths to 1, the one
-// normalization rule every engine shares: "no parallelism requested"
-// always means a single worker, never a hidden default width.
-// (GroupCoverageRounds historically coerced values < 1 to a magic 8
-// while the rest of the package used 1; the shared helper pins the
-// uniform behavior.)
+// normalizeParallelism maps non-positive pool widths to 1: "no
+// parallelism requested" always means a single worker, never a hidden
+// default width.
 func normalizeParallelism(parallelism int) int {
 	if parallelism < 1 {
 		return 1
@@ -39,16 +28,16 @@ func normalizeParallelism(parallelism int) int {
 // RunBounded runs fn(i) for every index in [0, n) across at most
 // parallelism goroutines and returns the lowest-indexed error. Once a
 // task fails, tasks with HIGHER indices are no longer dispatched —
-// every query costs crowd money, so a doomed audit must not keep
-// posting HITs the sequential engine would never pay for — but tasks
+// every query costs crowd money, so a doomed round must not keep
+// posting HITs a one-at-a-time walk would never pay for — but tasks
 // with lower indices still run: they might fail at a lower index, and
-// running them is exactly what the sequential engine would have paid
-// for anyway. When each task's failure is a function of its own index
-// (not of shared call-order state), the surfaced error is therefore
-// deterministic under any scheduling: the lowest failing index, the
-// same error the sequential loop stops on. Besides the audit engine,
-// the experiment harness reuses this pool to fan independent trials
-// out across workers.
+// a one-at-a-time walk would have paid for them anyway. When each
+// task's failure is a function of its own index (not of shared
+// call-order state), the surfaced error is therefore deterministic
+// under any scheduling: the lowest failing index. batchAdapter lifts a
+// round's requests through it; the experiment harness and the audit
+// service reuse it to fan independent trials and jobs out across
+// workers.
 func RunBounded(parallelism, n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -98,10 +87,10 @@ func RunBounded(parallelism, n int, fn func(i int) error) error {
 	return firstError(errs)
 }
 
-// splitSeeds draws one child seed per audit from the parent RNG, in
-// deterministic order, so concurrently running audits never touch the
-// parent and identical seeds reproduce identical child streams at any
-// parallelism level.
+// splitSeeds draws n child seeds from the parent RNG in deterministic
+// order. An audit phase draws one per task — a fixed part of every
+// audit's Rng transcript — and seeds its round-side retry jitter from
+// them (auditRounds), so retries never draw from the parent.
 func splitSeeds(rng *rand.Rand, n int) []int64 {
 	seeds := make([]int64, n)
 	for i := range seeds {
@@ -110,24 +99,14 @@ func splitSeeds(rng *rand.Rand, n int) []int64 {
 	return seeds
 }
 
-// mixSeed derives a sub-seed for the i-th follow-up task of an audit
-// (splitmix-style odd-constant multiply) so penalty re-audits get
-// independent child RNGs too.
-func mixSeed(seed int64, i int) int64 {
-	x := uint64(seed) + uint64(i+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	return int64(x & (1<<63 - 1))
-}
-
-// LabelSamplesBatch is the sampling phase of Algorithm 6 issued as one
-// batched oracle round: the same objects LabelSamples would pick with
-// the same RNG (both use chooseSamples) are labeled through a single
-// PointQueryBatch call, so a crowd deployment posts all c*tau sampling
-// HITs concurrently. The returned remaining ids, labeled set, and task
-// count are identical to the sequential LabelSamples for
-// order-independent oracles.
+// LabelSamplesBatch is the sampling phase of section 4 (Algorithm 6)
+// issued as one batched oracle round: it draws up to k random objects,
+// labels them through a single PointQueryBatch call — so a crowd
+// deployment posts all c*tau sampling HITs together — moves them into
+// the labeled set L, and returns the remaining ids (order preserved).
+// The paper uses k = c*tau with c = 2: enough point queries to confirm
+// majority groups outright while estimating the frequencies of the
+// minorities.
 func LabelSamplesBatch(o BatchOracle, ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (remaining []dataset.ObjectID, tasks int, err error) {
 	if o == nil {
 		return nil, 0, errNilOracleOrSet
@@ -147,94 +126,4 @@ func LabelSamplesBatch(o BatchOracle, ids []dataset.ObjectID, k int, l *LabeledS
 		return remaining, len(labels), err
 	}
 	return remaining, len(batch), nil
-}
-
-// multipleCoverageParallel is Algorithm 2 on the concurrent engine;
-// MultipleCoverage dispatches here when opts.Parallelism > 1 or
-// opts.Lockstep is set (inputs already validated, c is the resolved
-// sample factor). The audit rounds dispatch through runAuditPool, so
-// the same phase structure runs free-running or in lockstep.
-func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, groups []pattern.Group, opts MultipleOptions) (*MultipleResult, error) {
-	res := &MultipleResult{
-		Results: make([]MultipleGroupResult, len(groups)),
-		Labeled: NewLabeledSet(),
-	}
-	budget := c * tau
-	if opts.NoSampling {
-		budget = 0
-	}
-	batchWidth := normalizeParallelism(opts.Parallelism)
-
-	// Sampling round: one batch of point queries. Retries, when
-	// enabled, wrap the inner oracle per query; the jitter RNG is the
-	// parent (the batch is issued before any audit goroutine starts).
-	if err := opts.context().Err(); err != nil {
-		return nil, err
-	}
-	sampler := AsBatchOracle(withRetry(opts.context(), o, opts.Retry, opts.Rng), batchWidth)
-	remaining, sampleTasks, err := LabelSamplesBatch(sampler, ids, budget, res.Labeled, opts.Rng)
-	if err != nil {
-		if errors.Is(err, ErrBudgetExhausted) {
-			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil
-		}
-		return nil, err
-	}
-	res.RemainingIDs = remaining
-	res.SampleTasks = sampleTasks
-
-	plans := buildSuperPlans(res.Labeled, tau, groups, Aggregate(res.Labeled, len(ids), tau, groups, opts.Multi))
-	seeds := splitSeeds(opts.Rng, len(plans))
-
-	// Round 1: every super-group union audit runs across the pool (or
-	// in lockstep rounds, task index = super-group index).
-	unionRes := make([]GroupResult, len(plans))
-	err = runAuditPool(o, opts, seeds, len(plans), func(si int, audit Oracle) error {
-		var e error
-		unionRes[si], e = GroupCoverage(audit, remaining, n, plans[si].tauPrime, plans[si].union)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Round 2: the covered-penalty re-audits — every member of every
-	// covered multi-member super-group — also fan out, each with its
-	// own child RNG mixed from the super's seed; the canonical task
-	// order is (super-group index, member index).
-	type penaltyJob struct{ si, mi int }
-	var jobs []penaltyJob
-	var jobSeeds []int64
-	for si, plan := range plans {
-		if len(plan.members) > 1 && unionRes[si].Covered {
-			for mi := range plan.members {
-				jobs = append(jobs, penaltyJob{si, mi})
-				jobSeeds = append(jobSeeds, mixSeed(seeds[si], mi))
-			}
-		}
-	}
-	subRes := make([]GroupResult, len(jobs))
-	err = runAuditPool(o, opts, jobSeeds, len(jobs), func(j int, audit Oracle) error {
-		job := jobs[j]
-		g := groups[plans[job.si].members[job.mi]]
-		var e error
-		subRes[j], e = GroupCoverage(audit, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Settle in super-group order through the same function as the
-	// sequential engine, so assembly is deterministic and identical.
-	sub := 0
-	for si, plan := range plans {
-		var subs []GroupResult
-		if len(plan.members) > 1 && unionRes[si].Covered {
-			subs = subRes[sub : sub+len(plan.members)]
-			sub += len(plan.members)
-		}
-		settleSuper(res, plan, unionRes[si], subs, groups, len(ids))
-	}
-	res.Tasks = res.SampleTasks + res.AuditTasks
-	return res, nil
 }

@@ -25,9 +25,22 @@ func runMultiple(t *testing.T, d *dataset.Dataset, groups []pattern.Group, tau, 
 	return res, o.Tasks()
 }
 
+// runMultipleReference is runMultiple through the paper's sequential
+// Algorithm 2 (reference_test.go).
+func runMultipleReference(t *testing.T, d *dataset.Dataset, groups []pattern.Group, tau int, seed int64) (*MultipleResult, TaskCounts) {
+	t.Helper()
+	o := NewTruthOracle(d)
+	res, err := multipleCoverageReference(o, d.IDs(), 50, tau, groups,
+		MultipleOptions{Rng: rand.New(rand.NewSource(seed))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, o.Tasks()
+}
+
 // TestParallelMultipleDeterminism: one seed must produce byte-identical
-// results at every parallelism level — the property that makes the
-// concurrent engine a drop-in replacement for the experiments.
+// results at every parallelism level, equal to the paper's sequential
+// loop — the property that lets the experiments pick any width.
 func TestParallelMultipleDeterminism(t *testing.T) {
 	s := raceSchema()
 	groups := pattern.GroupsForAttribute(s, 0)
@@ -46,9 +59,9 @@ func TestParallelMultipleDeterminism(t *testing.T) {
 	}
 	for ci, counts := range compositions {
 		d := dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(int64(90+ci))))
-		base, baseTasks := runMultiple(t, d, groups, 50, 1, 7)
+		base, baseTasks := runMultipleReference(t, d, groups, 50, 7)
 		baseRepr := repr(base)
-		for _, par := range []int{4, 16} {
+		for _, par := range []int{1, 4, 16} {
 			res, tasks := runMultiple(t, d, groups, 50, par, 7)
 			if !reflect.DeepEqual(res, base) {
 				t.Errorf("composition %d: parallelism %d diverged from sequential", ci, par)
@@ -215,7 +228,7 @@ func TestLabelSamplesBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqL, batchL := NewLabeledSet(), NewLabeledSet()
-	seqRem, seqTasks, err := LabelSamples(NewTruthOracle(d), d.IDs(), 60, seqL, rand.New(rand.NewSource(5)))
+	seqRem, seqTasks, err := labelSamples(NewTruthOracle(d), d.IDs(), 60, seqL, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,12 +97,12 @@ func TestQuickRoundsAgreesWithSequential(t *testing.T) {
 	}
 }
 
-// TestQuickParallelMultipleEquivalence is the concurrent engine's
+// TestQuickParallelMultipleEquivalence is the round engine's
 // contract: across randomized schemas, compositions, thresholds and
 // set sizes, MultipleCoverage with Parallelism 8 produces identical
 // verdicts, identical exact counts, identical SuperAudits, and
-// identical oracle TaskCounts to the sequential engine for the same
-// seed. 120 randomized instances keep the suite above the 100-instance
+// identical oracle TaskCounts to the paper's sequential loop
+// (multipleCoverageReference) for the same seed. 120 randomized instances keep the suite above the 100-instance
 // bar without slowing it down.
 func TestQuickParallelMultipleEquivalence(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
@@ -125,7 +125,7 @@ func TestQuickParallelMultipleEquivalence(t *testing.T) {
 		seed := rng.Int63()
 
 		seqOracle := NewTruthOracle(d)
-		seq, err := MultipleCoverage(seqOracle, d.IDs(), setSize, tau, groups,
+		seq, err := multipleCoverageReference(seqOracle, d.IDs(), setSize, tau, groups,
 			MultipleOptions{Rng: rand.New(rand.NewSource(seed))})
 		if err != nil {
 			t.Fatalf("trial %d sequential: %v", trial, err)

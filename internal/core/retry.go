@@ -28,9 +28,9 @@ type RetryPolicy struct {
 // Enabled reports whether the policy actually retries.
 func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 
-// retryOracle wraps an oracle with the retry policy. Each concurrent
-// audit owns its own retryOracle with its own child RNG, so jitter
-// draws never race and stay deterministic per audit.
+// retryOracle wraps an oracle with the retry policy. Jitter draws
+// take the wrapper's lock; they only scale backoff sleeps, never
+// answers.
 //
 // retryOracle is itself a BatchOracle: over a natively batching inner
 // oracle a transient failure re-posts only the unanswered suffix of
@@ -62,6 +62,19 @@ func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand
 		ctx = context.Background()
 	}
 	return &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng, batchWidth: 1}
+}
+
+// auditRounds returns the oracle an audit phase's lockstep rounds
+// commit through: o itself, or — under a retry policy — o behind the
+// retry wrapper, below the scheduler, so a transient HIT is re-posted
+// inside its round instead of failing every task parked in it. The
+// backoff jitter draws from a child RNG seeded with the phase's first
+// child seed, never from the audit's parent Rng.
+func auditRounds(ctx context.Context, o Oracle, policy RetryPolicy, seeds []int64) Oracle {
+	if !policy.Enabled() || len(seeds) == 0 {
+		return o
+	}
+	return withRetry(ctx, o, policy, rand.New(rand.NewSource(seeds[0])))
 }
 
 // withBatchParallelism widens the per-request retry pool (it never

@@ -243,8 +243,8 @@ type workerTally struct {
 // HITs, against the round's aggregated consensus otherwise — and
 // applies the policy's distrust verdicts to the screener at round
 // boundaries only. The probe schedule is a pure function of the
-// committed set-round count, so it is identical at every Parallelism
-// under Lockstep, survives kill/resume (replayed rounds re-issue the
+// committed set-round count, so it is identical at every Parallelism,
+// survives kill/resume (replayed rounds re-issue the
 // identical probe-augmented requests), and never consults the feed —
 // feed starvation degrades scoring, never determinism.
 type TrustOracle struct {

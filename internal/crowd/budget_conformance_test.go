@@ -71,7 +71,6 @@ func runBudgetedCell(t *testing.T, inst budgetedInstance, parallelism int) (stri
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
 	}
 	var audit string
 	var exhausted bool
@@ -90,7 +89,6 @@ func runBudgetedCell(t *testing.T, inst budgetedInstance, parallelism int) (stri
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
-				Lockstep:    true,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -173,8 +171,7 @@ func TestBudgetedLedgerNeverExceedsCap(t *testing.T) {
 		gov := core.NewBudgetedOracle(p, budget)
 		groups := pattern.GroupsForAttribute(inst.schema, 0)
 		if _, err := core.MultipleCoverage(gov, d.IDs(), inst.setSize, inst.tau, groups, core.MultipleOptions{
-			Rng:      rand.New(rand.NewSource(inst.auditSeed)),
-			Lockstep: true,
+			Rng: rand.New(rand.NewSource(inst.auditSeed)),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,6 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
 		Ctx:         ctx,
 	}
 	var audit string
@@ -111,7 +110,6 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
-				Lockstep:    true,
 				Ctx:         ctx,
 			})
 		if err == nil {
@@ -276,7 +274,6 @@ func runTrustJournalCell(t *testing.T, ai adversarialInstance, parallelism int,
 	res, err := core.MultipleCoverage(tr, d.IDs(), ai.setSize, ai.tau, groups, core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(ai.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
 		Ctx:         ctx,
 	})
 	if err != nil {

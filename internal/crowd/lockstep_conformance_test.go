@@ -142,7 +142,6 @@ func runConformanceCell(t *testing.T, inst conformanceInstance, parallelism int)
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
 	}
 	var audit string
 	switch inst.kind {
@@ -159,7 +158,6 @@ func runConformanceCell(t *testing.T, inst conformanceInstance, parallelism int)
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
-				Lockstep:    true,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -267,12 +265,9 @@ func TestConformanceMatrixCoversScreeningAndBidding(t *testing.T) {
 	}
 }
 
-// TestFreeRunningCrowdAuditMayDiverge documents the boundary of the
-// contract: without lockstep the free-running pool consumes the
-// platform RNG in arrival order, so the conformance property belongs
-// to Lockstep specifically (this test asserts only that lockstep runs
-// reproduce themselves — it does NOT assert the free pool diverges,
-// which would be a flaky claim about scheduling).
+// TestLockstepCrowdAuditReproducesItself: repeated runs of one crowd
+// audit at the same width reproduce themselves byte for byte, whatever
+// the goroutine schedule.
 func TestLockstepCrowdAuditReproducesItself(t *testing.T) {
 	rng := rand.New(rand.NewSource(20241))
 	for _, kind := range []string{"multiple", "classifier"} {

@@ -80,8 +80,8 @@ func DefaultConfig(seed int64) Config {
 // reproducible parallel audits should post whole rounds through
 // SetQueryBatch/PointQueryBatch: a batch holds the lock once and
 // answers in request order, so identically-seeded runs reproduce the
-// same answers at any parallelism level. The core engine's lockstep
-// scheduler (core.MultipleOptions.Lockstep) does exactly that — it
+// same answers at any parallelism level. The core audit engine's
+// lockstep scheduler, which every audit runs on, does exactly that — it
 // collects each virtual round's queries, orders them canonically, and
 // commits them here as one batch — which makes even multi-group audits
 // through this platform bit-identical at every Parallelism value.

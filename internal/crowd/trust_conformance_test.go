@@ -95,7 +95,6 @@ func runAdversarialCell(t *testing.T, ai adversarialInstance, parallelism int) s
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(ai.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
 	}
 	var audit string
 	switch ai.kind {
@@ -112,7 +111,6 @@ func runAdversarialCell(t *testing.T, ai adversarialInstance, parallelism int) s
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(ai.auditSeed)),
 				Parallelism: parallelism,
-				Lockstep:    true,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -306,8 +304,7 @@ func TestTrustScreeningExcludesOnlyAdversaries(t *testing.T) {
 		}
 		groups := pattern.GroupsForAttribute(ai.schema, 0)
 		if _, err := core.MultipleCoverage(tr, d.IDs(), ai.setSize, ai.tau, groups, core.MultipleOptions{
-			Rng:      rand.New(rand.NewSource(ai.auditSeed)),
-			Lockstep: true,
+			Rng: rand.New(rand.NewSource(ai.auditSeed)),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -71,7 +71,7 @@ func oneShot(t *testing.T, c conformanceCell, parallelism int) []byte {
 		oracle = imagecvg.NewTruthOracle(ds)
 	}
 	a := imagecvg.NewAuditor(oracle, c.tau, c.setSize).
-		WithSeed(c.seed).WithParallelism(parallelism).WithLockstep()
+		WithSeed(c.seed).WithParallelism(parallelism)
 	if c.maxHITs > 0 {
 		// The engine always prices the governor with the platform's
 		// cost model, so the reference budget must too for the Spend

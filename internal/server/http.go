@@ -4,12 +4,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
+// maxSubmitBytes caps a POST /jobs body. A JobConfig is a few hundred
+// bytes; the cap keeps a client from streaming an unbounded body into
+// the server.
+const maxSubmitBytes = 1 << 20
+
 // Handler returns the engine's HTTP API:
 //
-//	POST   /jobs             submit a JobConfig, returns the job status (202)
+//	POST   /jobs             submit a JobConfig, returns the job status (202;
+//	                         413 for a body over maxSubmitBytes)
 //	GET    /jobs             list every job
 //	GET    /jobs/{id}        one job's status + partial verdicts
 //	GET    /jobs/{id}/stream SSE: snapshot, then round/state events
@@ -63,9 +70,22 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg JobConfig
-	dec := json.NewDecoder(r.Body)
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	err := dec.Decode(&cfg)
+	if err == nil {
+		// Read to the end, so the cap covers padding after the value
+		// too.
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("server: job config body exceeds %d bytes", tooLarge.Limit)})
+		return
+	case err != nil:
 		writeError(w, fmt.Errorf("%w: decode: %v", ErrInvalidConfig, err))
 		return
 	}

@@ -89,6 +89,41 @@ func TestHTTPSubmitStatusList(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyLimit: a POST /jobs body over maxSubmitBytes is
+// refused with 413 — whether the padding comes before or after the
+// JSON value — while a padded body within the cap is still accepted.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	cfg, err := json.Marshal(smallJob(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := strings.Repeat(" ", maxSubmitBytes)
+	under := strings.Repeat(" ", maxSubmitBytes-len(cfg))
+	cases := []struct {
+		name string
+		body string
+		code int
+	}{
+		{"leading padding over the cap", over + string(cfg), http.StatusRequestEntityTooLarge},
+		{"trailing padding over the cap", string(cfg) + over, http.StatusRequestEntityTooLarge},
+		{"padding up to the cap", string(cfg) + under, http.StatusAccepted},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: POST /jobs = %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+	}
+}
+
 func TestHTTPStream(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
 	ts := httptest.NewServer(e.Handler())

@@ -3,8 +3,8 @@
 // Classifier — is a persistent job with a state machine (queued →
 // running → done/failed/cancelled), its own crash-safe round journal
 // under the engine's data directory, and a per-tenant budget gate.
-// Jobs run on one bounded worker pool (core.RunBounded) and always
-// under the Lockstep scheduler, so a job's verdicts, task tallies and
+// Jobs run on one bounded worker pool (core.RunBounded), each audit on
+// the lockstep scheduler, so a job's verdicts, task tallies and
 // ledger spend are byte-identical to the same configuration run
 // one-shot through the root Auditor — at every parallelism level, and
 // across a mid-job server kill and restart.
@@ -100,7 +100,7 @@ type JobConfig struct {
 	// "crowd", the platform's worker draws).
 	Seed int64 `json:"seed"`
 	// Parallelism is the audit engine width; results are byte-identical
-	// at every value because jobs always run under Lockstep.
+	// at every value because every audit runs in lockstep rounds.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Oracle selects the answer source: "truth" (default, ground-truth
 	// labels) or "crowd" (the full simulated crowdsourcing platform).

@@ -19,8 +19,8 @@ import (
 
 // runAudit executes (or resumes) one job's audit. The oracle stack
 // mirrors the root Auditor's: platform/truth → budget governor →
-// journaling middleware, always under the Lockstep scheduler — which
-// is what makes a job's verdicts, task tallies and spend
+// journaling middleware, on the lockstep scheduler every audit runs
+// on — which is what makes a job's verdicts, task tallies and spend
 // byte-identical to the one-shot run of the same configuration, at
 // every parallelism level and across a kill/restart.
 func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err error) {
@@ -106,7 +106,6 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(cfg.Seed)),
 		Parallelism: cfg.Parallelism,
-		Lockstep:    true,
 		Ctx:         ctx,
 	}
 	spent := func() core.BudgetSpent {
@@ -133,7 +132,6 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(cfg.Seed)),
 				Parallelism: cfg.Parallelism,
-				Lockstep:    true,
 				Ctx:         ctx,
 			})
 		if aerr != nil {

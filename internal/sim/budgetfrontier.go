@@ -18,10 +18,9 @@ import (
 // workload it calibrates the unbudgeted Multiple-Coverage cost, then
 // re-audits under HIT caps at fractions of that cost and scores the
 // partial verdicts against ground truth. Audits run on the lockstep
-// engine unconditionally, because a budgeted audit's exhaustion point
-// is engine-parallelism-invariant only under lockstep — which is
-// exactly what lets the rendered artifact be golden-filed and compared
-// at any -engine-parallelism.
+// engine, whose budgeted exhaustion point is engine-parallelism-
+// invariant — which is exactly what lets the rendered artifact be
+// golden-filed and compared at any -engine-parallelism.
 
 // BudgetFrontierParams spans the budget-vs-accuracy grid.
 type BudgetFrontierParams struct {
@@ -120,9 +119,8 @@ type bfObservation struct {
 
 // RunBudgetFrontier runs the grid: per workload one fixed dataset, a
 // calibration audit at the cell's base seed, then one cell per budget
-// fraction whose trials audit under a HIT cap; every audit runs on
-// the lockstep engine so the artifact is invariant to
-// -engine-parallelism.
+// fraction whose trials audit under a HIT cap; the artifact is
+// invariant to -engine-parallelism.
 func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult, error) {
 	s := oneAttrSchema(4)
 	groups := pattern.GroupsForAttribute(s, 0)
@@ -163,7 +161,7 @@ func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult
 			// Calibration: the unbudgeted cost at the cell's base seed
 			// anchors the budget ladder deterministically.
 			calib, err := core.MultipleCoverage(w.oracle, w.ids, p.SetSize, tau, groups,
-				core.MultipleOptions{Rng: rand.New(rand.NewSource(o.Seed + seedOffset)), Lockstep: true})
+				core.MultipleOptions{Rng: rand.New(rand.NewSource(o.Seed + seedOffset))})
 			if err != nil {
 				return nil, err
 			}
@@ -187,14 +185,11 @@ func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult
 		c := cells[ci]
 		w := workloads[c.wi]
 		// Each trial owns its governor (the budget is per audit, the
-		// truth oracle is shared and concurrency-safe). Lockstep is
-		// unconditional: budgeted exhaustion is width-invariant only on
-		// the lockstep engine.
+		// truth oracle is shared and concurrency-safe).
 		mres, err := core.MultipleCoverage(w.oracle, w.ids, p.SetSize, w.tau, groups,
 			core.MultipleOptions{
 				Rng:         t.Rng,
 				Parallelism: engineWidth(t, 1),
-				Lockstep:    true,
 				Budget:      t.Budget,
 			})
 		if err != nil {

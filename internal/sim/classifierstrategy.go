@@ -22,7 +22,7 @@ type ClassifierParams struct {
 	// set, spanning the Partition/Label switchover at the 25 %
 	// threshold.
 	FPRates []float64
-	// Parallelism is the batched engine's default pool width
+	// Parallelism is the audit engine's default pool width
 	// (overridden by Options.EngineParallelism).
 	Parallelism int
 }
@@ -116,7 +116,7 @@ func RunClassifierStrategy(p ClassifierParams, o Options) (*ClassifierStrategyRe
 		rng.Shuffle(len(predicted), func(i, j int) { predicted[i], predicted[j] = predicted[j], predicted[i] })
 
 		cc, err := core.ClassifierCoverage(core.NewTruthOracle(d), d.IDs(), predicted, p.SetSize, p.Tau, g,
-			core.ClassifierOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism), Lockstep: t.Lockstep})
+			core.ClassifierOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism)})
 		if err != nil {
 			return classifierObs{}, err
 		}

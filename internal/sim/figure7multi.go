@@ -14,14 +14,12 @@ import (
 // (section 6.5.2): N = 10,000, tau = n = 50.
 type MultiParams struct {
 	N, Tau, SetSize int
-	// Parallelism sizes the concurrent engine's worker pool; the
-	// experiments run against the order-independent TruthOracle, so
-	// any value reproduces the sequential engine's numbers exactly.
+	// Parallelism sizes the audit engine's worker pool; every value
+	// reproduces the same numbers exactly.
 	Parallelism int
 }
 
-// DefaultMultiParams mirrors the paper; the harness exercises the
-// concurrent engine by default.
+// DefaultMultiParams mirrors the paper, at engine width 4.
 func DefaultMultiParams() MultiParams {
 	return MultiParams{N: 10_000, Tau: 50, SetSize: 50, Parallelism: 4}
 }
@@ -167,7 +165,7 @@ func runMultiCells(id string, cells []multiCell, p MultiParams, o Options) ([]Mu
 			return multiObs{}, err
 		}
 		oracle := core.NewTruthOracle(d)
-		opts := core.MultipleOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism), Lockstep: t.Lockstep}
+		opts := core.MultipleOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism)}
 		var heurTasks int
 		bruteGroups := c.groups
 		if c.groups == nil {

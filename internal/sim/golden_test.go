@@ -1,14 +1,14 @@
 package sim
 
 // Golden-file regression for the harness artifacts: the files under
-// testdata/ hold each experiment's rendering produced by the
-// SEQUENTIAL engine (trial-parallelism 1, free-running audits), and
-// the test re-runs every experiment on a 4-wide trial pool with the
-// lockstep scheduler enabled — so one comparison pins three properties
-// at once: the artifact itself (any behavioral drift fails), the
-// trial-parallelism invariance of the harness, and the lockstep
-// engine's exact agreement with the sequential engine on
-// order-independent oracles.
+// testdata/ hold each experiment's rendering with its trials run one
+// at a time and every audit at engine width 1, and the test re-runs
+// every experiment on a 4-wide trial pool at the experiments' default
+// engine widths — so one comparison pins two properties at once: the
+// artifact itself (any behavioral drift fails; on the order-independent
+// truth oracle the artifacts also equal what the paper's sequential
+// algorithms produce, which the core equivalence suites pin), and the
+// trial- and engine-parallelism invariance of the harness.
 //
 // Regenerate after an intentional output change with
 //
@@ -24,7 +24,7 @@ import (
 	"imagecvg/internal/stats"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files from the sequential engine")
+var update = flag.Bool("update", false, "rewrite the golden files from width-1 runs")
 
 // goldenExcluded lists artifacts whose rendering carries wall-clock
 // measurements and therefore cannot be byte-compared across machines.
@@ -59,8 +59,8 @@ func canonicalArtifact(res fmt.Stringer) string {
 // TestGoldenClassifierEngineParallelismInvariant pins artifacts along
 // the ENGINE-parallelism axis: table2, the classifier-strategy harness,
 // the budget-frontier curve and the robustness-frontier grid must
-// render the sequential golden byte-for-byte when the audit engines run
-// their rounds at width 1 and at width 16 under lockstep. For
+// render the golden byte-for-byte when the audit engine runs its
+// rounds at width 1 and at width 16. For
 // budget-frontier this is the acceptance property of budget governance
 // itself: the exhaustion point — and with it every partial verdict in
 // the curve — must not move with the pool width. For
@@ -83,12 +83,12 @@ func TestGoldenClassifierEngineParallelismInvariant(t *testing.T) {
 			t.Fatalf("missing golden (run with -update to generate): %v", err)
 		}
 		for _, width := range []int{1, 16} {
-			res, err := e.Run(Options{Seed: 42, Trials: 2, Lockstep: true, EngineParallelism: width})
+			res, err := e.Run(Options{Seed: 42, Trials: 2, EngineParallelism: width})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := canonicalArtifact(res); got != string(want) {
-				t.Errorf("%s at engine parallelism %d diverged from the sequential golden:\n--- got ---\n%s\n--- want ---\n%s",
+				t.Errorf("%s at engine parallelism %d diverged from the golden:\n--- got ---\n%s\n--- want ---\n%s",
 					id, width, got, want)
 			}
 		}
@@ -108,9 +108,9 @@ func TestGoldenLockstepMatchesSequentialEngine(t *testing.T) {
 			path := filepath.Join("testdata", e.ID+".golden")
 			if *update {
 				// EngineParallelism 1 forces the audits inside each
-				// trial onto the sequential engines too (table2 and
-				// classifier-strategy default to batched width 4), so
-				// the regenerated baseline is genuinely sequential.
+				// trial to width 1 too (table2 and classifier-strategy
+				// default to width 4), so the regenerated baseline runs
+				// every round one query at a time.
 				res, err := e.Run(Options{Seed: 42, Trials: 2, EngineParallelism: 1})
 				if err != nil {
 					t.Fatal(err)
@@ -127,12 +127,12 @@ func TestGoldenLockstepMatchesSequentialEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run with -update to generate): %v", err)
 			}
-			res, err := e.Run(Options{Seed: 42, Trials: 2, Parallelism: 4, Lockstep: true})
+			res, err := e.Run(Options{Seed: 42, Trials: 2, Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := canonicalArtifact(res); got != string(want) {
-				t.Errorf("lockstep output at trial-parallelism 4 diverged from the sequential golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+				t.Errorf("output at trial-parallelism 4 diverged from the golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 			}
 		})
 	}

@@ -12,7 +12,8 @@ import (
 )
 
 // LatencyParams tunes the latency-bound lockstep comparison: one
-// Multiple-Coverage workload audited through an oracle whose every
+// Multiple-Coverage workload audited at width 1 and at width P through
+// an oracle whose every
 // query carries a fixed round-trip delay — the regime real crowd
 // deployments live in (a real HIT takes minutes; sub-millisecond
 // stands in).
@@ -51,13 +52,13 @@ type LatencyRow struct {
 	MillisPerTrial float64
 }
 
-// LatencyResult compares the sequential engine against lockstep.
+// LatencyResult compares the lockstep engine at width 1 and width P.
 type LatencyResult struct {
 	Params LatencyParams
-	Rows   []LatencyRow // [0] sequential, [1] lockstep
+	Rows   []LatencyRow // [0] width 1, [1] width P
 }
 
-// Speedup is the sequential-to-lockstep wall-clock ratio — the number
+// Speedup is the width-1-to-width-P wall-clock ratio — the number
 // the ">= 2x at parallelism 4" acceptance gate checks.
 func (r *LatencyResult) Speedup() float64 {
 	if len(r.Rows) < 2 || r.Rows[1].MillisPerTrial == 0 {
@@ -89,14 +90,14 @@ func (r *LatencyResult) String() string {
 		r.Params.Parallelism, t.String(), r.Speedup())
 }
 
-// RunLockstepLatency runs the same workload through the sequential
-// Algorithm 2 and through the lockstep scheduler at the configured
-// parallelism, against a DelayOracle. Both cells share trial seeds, so
-// they audit identical datasets and issue identical task counts; only
-// the wall-clock differs — lockstep posts each virtual round as one
-// batch whose round-trips overlap across the pool, which is where
-// batched rounds keep the concurrent engine's latency win while
-// staying bit-deterministic.
+// RunLockstepLatency runs the same workload through the lockstep
+// scheduler at width 1 and at the configured parallelism, against a
+// DelayOracle. Both cells share trial seeds, so they audit identical
+// datasets and issue identical task counts; only the wall-clock
+// differs — at width 1 a round's queries take their round-trips one
+// after another, as the paper's sequential loop would, while at width
+// P the round's round-trips overlap across the pool, which is where
+// batched rounds win on latency while staying bit-deterministic.
 func RunLockstepLatency(p LatencyParams, o Options) (*LatencyResult, error) {
 	s := oneAttrSchema(4)
 	groups := pattern.GroupsForAttribute(s, 0)
@@ -105,16 +106,14 @@ func RunLockstepLatency(p LatencyParams, o Options) (*LatencyResult, error) {
 	type engineCell struct {
 		name        string
 		parallelism int
-		lockstep    bool
 	}
 	cells := []engineCell{
-		{"sequential", 1, false},
-		{fmt.Sprintf("lockstep-P%d", p.Parallelism), p.Parallelism, true},
+		{"lockstep-P1", 1},
+		{fmt.Sprintf("lockstep-P%d", p.Parallelism), p.Parallelism},
 	}
 	cfgs := make([]experiment.Config, len(cells))
 	for i, c := range cells {
 		cfgs[i] = o.cell("lockstep-latency/"+c.name, 0)
-		cfgs[i].Lockstep = c.lockstep
 	}
 	results, err := experiment.RunMany(cfgs, func(cell int, t experiment.Trial) (float64, error) {
 		d, err := dataset.FromCounts(s, counts, t.Rng)
@@ -123,7 +122,7 @@ func RunLockstepLatency(p LatencyParams, o Options) (*LatencyResult, error) {
 		}
 		oracle := core.DelayOracle{Inner: core.NewTruthOracle(d), Delay: p.Delay}
 		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
-			core.MultipleOptions{Rng: t.Rng, Parallelism: cells[cell].parallelism, Lockstep: t.Lockstep})
+			core.MultipleOptions{Rng: t.Rng, Parallelism: cells[cell].parallelism})
 		if err != nil {
 			return 0, err
 		}

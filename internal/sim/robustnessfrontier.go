@@ -18,10 +18,10 @@ import (
 // Multiple-Coverage audit runs through the full crowd simulator twice
 // — once bare and once under the core.TrustOracle middleware (gold
 // probes, likelihood-ratio scoring, round-boundary screening) — and
-// scores the verdicts against ground truth. Audits run on the lockstep
-// engine unconditionally: the crowd platform is an order-dependent
-// oracle, and only under lockstep is the rendered artifact
-// engine-parallelism-invariant and golden-filable.
+// scores the verdicts against ground truth. The crowd platform is an
+// order-dependent oracle; the lockstep engine's canonical round commit
+// keeps the rendered artifact engine-parallelism-invariant and
+// golden-filable.
 
 // RobustnessFrontierParams spans the adversary grid.
 type RobustnessFrontierParams struct {
@@ -118,9 +118,8 @@ type rfObservation struct {
 
 // RunRobustnessFrontier runs the grid: one shared dataset (a pure
 // function of o.Seed), an honest baseline plus every strategy x rate
-// combination, each with and without the trust middleware. Every audit
-// runs on the lockstep engine so the artifact is invariant to
-// -engine-parallelism.
+// combination, each with and without the trust middleware. The
+// artifact is invariant to -engine-parallelism.
 func RunRobustnessFrontier(p RobustnessFrontierParams, o Options) (*RobustnessFrontierResult, error) {
 	s := oneAttrSchema(4)
 	groups := pattern.GroupsForAttribute(s, 0)
@@ -199,14 +198,10 @@ func RunRobustnessFrontier(p RobustnessFrontierParams, o Options) (*RobustnessFr
 			oracle = tr
 		}
 
-		// Lockstep is unconditional: the crowd platform's answers are
-		// order-dependent, and the trust middleware's probe schedule
-		// rides the committed round sequence.
 		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
 			core.MultipleOptions{
 				Rng:         t.Rng,
 				Parallelism: engineWidth(t, 1),
-				Lockstep:    true,
 			})
 		if err != nil {
 			return rfObservation{}, err

@@ -189,9 +189,9 @@ func aggregate(workload string, r *experiment.Result[throughputObs]) ThroughputR
 
 // RunAuditThroughput is the CPU-bound counterpart of the latency
 // harness: Multiple-Coverage and Classifier-Coverage audits through
-// the full crowd platform with no simulated round-trip delay, on the
-// lockstep engine (the platform is order-dependent, so lockstep keeps
-// the committed HIT sequence reproducible at every width). Each trial
+// the full crowd platform with no simulated round-trip delay (the
+// platform is order-dependent; the lockstep engine keeps the committed
+// HIT sequence reproducible at every width). Each trial
 // brackets its audit with runtime.MemStats snapshots, reporting
 // committed HITs/sec and heap allocations per HIT. Trials are forced
 // sequential — Mallocs is a process-global counter, so concurrent
@@ -203,7 +203,6 @@ func RunAuditThroughput(p ThroughputParams, o Options) (*ThroughputResult, error
 
 	multCfg := o.cell("audit-throughput/multiple", 0)
 	multCfg.Parallelism = 1
-	multCfg.Lockstep = true
 	mult, err := experiment.Run(multCfg, func(t experiment.Trial) (throughputObs, error) {
 		d, err := dataset.FromCounts(s, counts, t.Rng)
 		if err != nil {
@@ -215,7 +214,7 @@ func RunAuditThroughput(p ThroughputParams, o Options) (*ThroughputResult, error
 		}
 		return measureAudit(plat, func() error {
 			_, err := core.MultipleCoverage(plat, d.IDs(), p.SetSize, p.Tau, groups,
-				core.MultipleOptions{Rng: t.Rng, Parallelism: engineWidth(t, p.Parallelism), Lockstep: true})
+				core.MultipleOptions{Rng: t.Rng, Parallelism: engineWidth(t, p.Parallelism)})
 			return err
 		})
 	})
@@ -225,7 +224,6 @@ func RunAuditThroughput(p ThroughputParams, o Options) (*ThroughputResult, error
 
 	clsCfg := o.cell("audit-throughput/classifier", 500)
 	clsCfg.Parallelism = 1
-	clsCfg.Lockstep = true
 	cls, err := experiment.Run(clsCfg, func(t experiment.Trial) (throughputObs, error) {
 		d, err := dataset.BinaryWithMinority(p.ClassifierN, p.ClassifierTP, t.Rng)
 		if err != nil {
@@ -240,7 +238,7 @@ func RunAuditThroughput(p ThroughputParams, o Options) (*ThroughputResult, error
 		}
 		return measureAudit(plat, func() error {
 			_, err := core.ClassifierCoverage(plat, d.IDs(), predicted, p.SetSize, p.Tau, g,
-				core.ClassifierOptions{Rng: t.Rng, Parallelism: engineWidth(t, p.Parallelism), Lockstep: true})
+				core.ClassifierOptions{Rng: t.Rng, Parallelism: engineWidth(t, p.Parallelism)})
 			return err
 		})
 	})
