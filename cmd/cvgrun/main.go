@@ -354,6 +354,16 @@ func run(args []string, out, errOut io.Writer) (code int) {
 	return 0
 }
 
+// Connection limits of the audit service's HTTP server. A client must
+// finish its request headers within serveReadHeaderTimeout, and an idle
+// keep-alive connection is closed after serveIdleTimeout, so stalled
+// clients cannot hold connections open forever. Neither bounds a
+// response: SSE streams and long polls run as long as their jobs do.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveIdleTimeout       = 60 * time.Second
+)
+
 // serve runs the audit service until SIGINT/SIGTERM. On shutdown,
 // running jobs are cancelled at their next round boundary and park
 // non-terminal; their journals resume them — byte-identically — when
@@ -370,7 +380,11 @@ func serve(addr string, opts imagecvg.AuditServiceOptions, out, errOut io.Writer
 		fmt.Fprintln(errOut, "cvgrun:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: eng.Handler()}
+	srv := &http.Server{
+		Handler:           eng.Handler(),
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -470,5 +473,65 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shutting down") {
 		t.Errorf("missing shutdown line:\n%s", out.String())
+	}
+}
+
+// TestServeClosesStalledHeaders: a client that sends part of a header
+// line and then stalls must be disconnected once the read-header
+// timeout passes, instead of holding its connection forever.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	dir := t.TempDir()
+	var out, errOut syncWriter
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{"-serve", "127.0.0.1:0", "-data-dir", dir}, &out, &errOut)
+	}()
+	defer func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(15 * time.Second):
+			t.Fatalf("service never shut down after SIGINT:\n%s%s", out.String(), errOut.String())
+		}
+	}()
+
+	var addr string
+	deadline := time.Now().Add(10 * time.Second)
+	for addr == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("service never announced its address:\n%s%s", out.String(), errOut.String())
+		}
+		s := out.String()
+		if i := strings.Index(s, "serving audit jobs on "); i >= 0 {
+			rest := s[i+len("serving audit jobs on "):]
+			if j := strings.Index(rest, " ("); j >= 0 {
+				addr = rest[:j]
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /jobs HTTP/1.1\r\nHost: loc"); err != nil {
+		t.Fatal(err)
+	}
+	limit := 2 * serveReadHeaderTimeout
+	if err := conn.SetReadDeadline(start.Add(limit)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection with a stalled header still open after %v", limit)
+	}
+	if elapsed := time.Since(start); elapsed < serveReadHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v read-header timeout", elapsed, serveReadHeaderTimeout)
 	}
 }

@@ -216,6 +216,17 @@
 // buffers under the platform lock, and renders glyphs lazily on first
 // reference.
 //
+// The crowd's glyph decode (internal/imagegen) reads only the pixels
+// on which some two templates differ. NewRenderer records that mask
+// once and packs every template over it; nearest sums integer squared
+// differences over the mask, keeping ties on the lowest index, and
+// perception still draws one NormFloat64 per pixel but perturbs only
+// masked pixels. The decode stays exact: every unmasked pixel adds the
+// same term to every template's distance, and a float64 sum of at most
+// 256·255² integers has no rounding, so the integer argmin is the old
+// float L2 argmin, ties included. FuzzNearest diffs it against that
+// full float scan.
+//
 // The invariant all of it preserves: RNG consumption per committed HIT
 // is byte-for-byte what the allocating code drew — the scratch worker
 // draw replays rand.Perm's exact loop, perception reuses buffers but

@@ -52,8 +52,8 @@ func (w *Worker) Adversarial() (string, bool) {
 	return w.strategy.Name(), true
 }
 
-// perceiveMatch reports whether the worker, looking at the glyph,
-// believes the object matches the predicate over decoded labels.
+// perceiveLabels returns the label vector the worker decodes when
+// looking at the glyph through its perceptual noise.
 func (w *Worker) perceiveLabels(r *imagegen.Renderer, g imagegen.Glyph) []int {
 	return r.Perceive(g, w.PerceptNoise, w.rng)
 }

@@ -67,6 +67,16 @@ type Renderer struct {
 	schema    *pattern.Schema
 	templates []Glyph // clean glyph per subgroup index
 	labels    [][]int // label vector per subgroup index, for decoding
+
+	// diff lists, in pixel order, the pixels on which some two
+	// templates differ; isDiff marks the same set. packed holds every
+	// template's diff pixels, template idx at
+	// packed[idx*len(diff):(idx+1)*len(diff)]. Decoding reads only
+	// these: every other pixel adds the same term to every template's
+	// distance, so it cannot move the argmin.
+	diff   []int
+	isDiff [Size * Size]bool
+	packed []uint8
 }
 
 // NewRenderer validates that the schema fits the available visual
@@ -90,13 +100,28 @@ func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 		r.labels[idx] = []int(pattern.SubgroupAt(s, idx))
 		r.templates[idx] = r.clean(r.labels[idx])
 	}
+	for i := range r.isDiff {
+		for idx := 1; idx < m; idx++ {
+			if r.templates[idx][i] != r.templates[0][i] {
+				r.isDiff[i] = true
+				r.diff = append(r.diff, i)
+				break
+			}
+		}
+	}
+	r.packed = make([]uint8, 0, m*len(r.diff))
+	for idx := range r.templates {
+		for _, i := range r.diff {
+			r.packed = append(r.packed, r.templates[idx][i])
+		}
+	}
 	return r, nil
 }
 
 // Schema returns the renderer's schema.
 func (r *Renderer) Schema() *pattern.Schema { return r.schema }
 
-// channel returns the label for channel ch, or 0 when the schema has
+// channelValue returns the label for channel ch, or 0 when the schema has
 // fewer attributes than channels.
 func channelValue(labels []int, ch int) int {
 	if ch < len(labels) {
@@ -148,11 +173,25 @@ func (r *Renderer) DecodeInto(g *Glyph, dst []int) []int {
 }
 
 // nearest returns the subgroup index whose clean template is closest
-// to the glyph in L2 distance.
+// to the glyph in L2 distance, ties to the lowest index. It sums
+// integer squared differences over the diff pixels only. The full
+// float L2 scan it replaces summed 256 integer squares of at most 255²
+// each, which float64 holds exactly, so both pick the same template,
+// ties included.
 func (r *Renderer) nearest(g *Glyph) int {
-	best, bestDist := 0, math.MaxFloat64
-	for idx := range r.templates {
-		d := distance(g, &r.templates[idx])
+	var buf [Size * Size]uint8
+	px := buf[:len(r.diff)]
+	for k, i := range r.diff {
+		px[k] = g[i]
+	}
+	best, bestDist := 0, int32(math.MaxInt32)
+	for idx, off := 0, 0; off < len(r.packed); idx, off = idx+1, off+len(px) {
+		t := r.packed[off : off+len(px)]
+		var d int32
+		for k, v := range px {
+			e := int32(v) - int32(t[k])
+			d += e * e
+		}
 		if d < bestDist {
 			best, bestDist = idx, d
 		}
@@ -168,25 +207,20 @@ func (r *Renderer) Perceive(g Glyph, noise float64, rng *rand.Rand) []int {
 }
 
 // PerceiveInto is Perceive writing into dst (see DecodeInto). The RNG
-// draws — one NormFloat64 per pixel when noise is positive — are
-// identical to Perceive's, so swapping one for the other never changes
-// a transcript.
+// draws — one NormFloat64 per pixel, in pixel order, when noise is
+// positive — are identical to Perceive's, so swapping one for the
+// other never changes a transcript. Only the pixels the decoder reads
+// are perturbed; the draws for the others are taken and discarded.
 func (r *Renderer) PerceiveInto(g Glyph, noise float64, rng *rand.Rand, dst []int) []int {
 	if noise > 0 && rng != nil {
 		for i := range g {
-			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
+			n := rng.NormFloat64()
+			if r.isDiff[i] {
+				g[i] = clamp8(float64(g[i]) + n*noise)
+			}
 		}
 	}
 	return r.DecodeInto(&g, dst)
-}
-
-func distance(a, b *Glyph) float64 {
-	sum := 0.0
-	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		sum += d * d
-	}
-	return sum
 }
 
 func clamp8(v float64) uint8 {

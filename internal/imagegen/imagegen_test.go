@@ -2,7 +2,9 @@ package imagegen
 
 import (
 	"bytes"
+	"fmt"
 	"image/png"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,6 +16,39 @@ func genderRace() *pattern.Schema {
 		pattern.Attribute{Name: "gender", Values: []string{"male", "female"}},
 		pattern.Attribute{Name: "race", Values: []string{"white", "black", "hispanic", "asian"}},
 	)
+}
+
+func fullSchema() *pattern.Schema {
+	return pattern.MustSchema(
+		pattern.Attribute{Name: "shape", Values: []string{"a", "b", "c", "d", "e", "f"}},
+		pattern.Attribute{Name: "shade", Values: []string{"a", "b", "c", "d", "e", "f"}},
+		pattern.Attribute{Name: "marks", Values: []string{"a", "b", "c", "d"}},
+		pattern.Attribute{Name: "border", Values: []string{"a", "b", "c"}},
+	)
+}
+
+// distance is the squared L2 distance between two glyphs.
+func distance(a, b *Glyph) float64 {
+	sum := 0.0
+	for i := range a {
+		d := float64(a[i]) - float64(b[i])
+		sum += d * d
+	}
+	return sum
+}
+
+// nearestReference is the plain decoder nearest must agree with: a
+// float L2 scan over every pixel of every template, ties to the
+// lowest index.
+func nearestReference(r *Renderer, g *Glyph) int {
+	best, bestDist := 0, math.MaxFloat64
+	for idx := range r.templates {
+		d := distance(g, &r.templates[idx])
+		if d < bestDist {
+			best, bestDist = idx, d
+		}
+	}
+	return best
 }
 
 func TestNewRendererValidation(t *testing.T) {
@@ -202,5 +237,203 @@ func TestGlyphAccessors(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if clamp8(-5) != 0 || clamp8(300) != 255 || clamp8(128) != 128 {
 		t.Error("clamp8 wrong")
+	}
+}
+
+func fourValue() *pattern.Schema {
+	return pattern.MustSchema(pattern.Attribute{Name: "a", Values: []string{"0", "1", "2", "3"}})
+}
+
+// tieGlyph builds a glyph exactly as far (in squared L2) from the
+// templates of subgroups a and b: their midpoint where a pixel pair
+// has an even sum, and, where it is odd, the lower or upper middle
+// value chosen so the ±(b-a) imbalances cancel. The second result
+// reports whether they did cancel.
+func tieGlyph(r *Renderer, a, b int) (Glyph, bool) {
+	ta, tb := &r.templates[a], &r.templates[b]
+	g := *ta
+	imbalance := 0 // dist(g, a) - dist(g, b)
+	for i := range g {
+		lo, hi := int(ta[i]), int(tb[i])
+		g[i] = uint8((lo + hi) / 2)
+		if (lo+hi)%2 == 0 {
+			continue
+		}
+		// Rounding down leaves g one closer to lo: it shifts the
+		// imbalance by lo-hi; rounding up shifts it by hi-lo.
+		if down := imbalance + lo - hi; abs(down) <= abs(imbalance+hi-lo) {
+			imbalance = down
+		} else {
+			g[i]++
+			imbalance += hi - lo
+		}
+	}
+	return g, distance(&g, ta) == distance(&g, tb)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+func TestNearestExactTies(t *testing.T) {
+	// Each case is a glyph exactly between two templates, at the
+	// minimum distance over all templates: the decoder must return the
+	// lowest tied index, as the full float scan does.
+	cases := []struct {
+		name   string
+		schema *pattern.Schema
+		pairs  [][2][]int
+	}{
+		{"1-attribute", fourValue(), [][2][]int{
+			{{0}, {1}}, {{1}, {3}}, {{2}, {3}},
+		}},
+		{"gender x race", genderRace(), [][2][]int{
+			{{0, 0}, {1, 0}}, {{0, 0}, {0, 1}}, {{0, 3}, {1, 2}}, {{1, 2}, {1, 3}},
+		}},
+		{"6x6x4x3", fullSchema(), [][2][]int{
+			{{0, 0, 0, 0}, {1, 0, 0, 0}}, {{0, 0, 0, 0}, {0, 1, 0, 2}},
+			{{0, 0, 0, 0}, {0, 0, 3, 0}}, {{0, 0, 0, 0}, {0, 1, 3, 0}},
+		}},
+	}
+	for _, tc := range cases {
+		r, err := NewRenderer(tc.schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range tc.pairs {
+			a := pattern.SubgroupIndex(tc.schema, pattern.Point(p[0]))
+			b := pattern.SubgroupIndex(tc.schema, pattern.Point(p[1]))
+			g, ok := tieGlyph(r, a, b)
+			if !ok {
+				t.Fatalf("%s %v/%v: fixture is not an exact tie", tc.name, p[0], p[1])
+			}
+			d := distance(&g, &r.templates[a])
+			want := -1
+			for idx := range r.templates {
+				switch dc := distance(&g, &r.templates[idx]); {
+				case dc < d:
+					t.Fatalf("%s %v/%v: template %v is nearer than the tie", tc.name, p[0], p[1], r.labels[idx])
+				case dc == d && want < 0:
+					want = idx
+				}
+			}
+			if got := r.nearest(&g); got != want {
+				t.Errorf("%s %v/%v: nearest = %v, want %v", tc.name, p[0], p[1], r.labels[got], r.labels[want])
+			}
+			if ref := nearestReference(r, &g); ref != want {
+				t.Errorf("%s %v/%v: reference = %v, want %v", tc.name, p[0], p[1], r.labels[ref], r.labels[want])
+			}
+		}
+	}
+}
+
+// FuzzNearest checks that, for arbitrary glyph bytes and any schema
+// shape the channels can render, the masked integer decoder picks the
+// same template as the full float L2 scan.
+func FuzzNearest(f *testing.F) {
+	r, err := NewRenderer(genderRace())
+	if err != nil {
+		f.Fatal(err)
+	}
+	tie, _ := tieGlyph(r, 0, 4)
+	f.Add(tie[:], uint8(1), uint8(0), uint8(2), uint8(0), uint8(0))
+	f.Add([]byte{}, uint8(0), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{255, 0, 90}, 90), uint8(3), uint8(4), uint8(4), uint8(2), uint8(1))
+	f.Fuzz(func(t *testing.T, glyph []byte, nattrs, c0, c1, c2, c3 uint8) {
+		var attrs []pattern.Attribute
+		for i, c := range []uint8{c0, c1, c2, c3}[:1+nattrs%4] {
+			values := make([]string, 2+int(c)%(channelLimits[i]-1))
+			for v := range values {
+				values[v] = fmt.Sprint(v)
+			}
+			attrs = append(attrs, pattern.Attribute{Name: fmt.Sprint("a", i), Values: values})
+		}
+		r, err := NewRenderer(pattern.MustSchema(attrs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g Glyph
+		copy(g[:], glyph)
+		if got, want := r.nearest(&g), nearestReference(r, &g); got != want {
+			t.Fatalf("nearest = %v, reference = %v", r.labels[got], r.labels[want])
+		}
+	})
+}
+
+// perceiveReference is PerceiveInto before decoding read only the diff
+// pixels: perturb every pixel, then scan every template.
+func perceiveReference(r *Renderer, g Glyph, noise float64, rng *rand.Rand) []int {
+	if noise > 0 && rng != nil {
+		for i := range g {
+			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
+		}
+	}
+	return r.labels[nearestReference(r, &g)]
+}
+
+func TestPerceiveMatchesReference(t *testing.T) {
+	for _, s := range []*pattern.Schema{fourValue(), genderRace(), fullSchema()} {
+		r, err := NewRenderer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noise := range []float64{0, 15, 60, 300} {
+			rng, twin := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			var dst []int
+			for i := 0; i < 300; i++ {
+				g := r.templates[i%len(r.templates)]
+				dst = r.PerceiveInto(g, noise, rng, dst)
+				want := perceiveReference(r, g, noise, twin)
+				if fmt.Sprint(dst) != fmt.Sprint(want) {
+					t.Fatalf("%d subgroups, noise %v, draw %d: perceived %v, reference %v", len(r.labels), noise, i, dst, want)
+				}
+			}
+			if rng.Int63() != twin.Int63() {
+				t.Fatalf("%d subgroups, noise %v: RNG streams diverged", len(r.labels), noise)
+			}
+		}
+	}
+}
+
+// TestPerceiveDrawPin pins the worker RNG contract: a noisy perception
+// draws exactly one NormFloat64 per pixel, whether or not the decoder
+// reads that pixel.
+func TestPerceiveDrawPin(t *testing.T) {
+	r, err := NewRenderer(fourValue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng, twin := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
+	r.PerceiveInto(r.templates[2], 15, rng, nil)
+	for i := 0; i < Size*Size; i++ {
+		twin.NormFloat64()
+	}
+	if got, want := rng.Int63(), twin.Int63(); got != want {
+		t.Fatalf("next Int63 after PerceiveInto = %d, want %d (256 NormFloat64 draws)", got, want)
+	}
+}
+
+func BenchmarkPerceive(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		schema *pattern.Schema
+	}{{"attr4", fourValue()}, {"full432", fullSchema()}} {
+		r, err := NewRenderer(bc.schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, noise := range []float64{0, 15} {
+			b.Run(fmt.Sprintf("%s/noise%g", bc.name, noise), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				dst := make([]int, 0, bc.schema.NumAttrs())
+				b.ReportAllocs()
+				for i := 0; b.Loop(); i++ {
+					dst = r.PerceiveInto(r.templates[i%len(r.templates)], noise, rng, dst)
+				}
+			})
+		}
 	}
 }
