@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 
 	"imagecvg/internal/classifier"
 	"imagecvg/internal/core"
@@ -260,24 +261,31 @@ func RunTrials(trials, parallelism int, seed int64, trial func(i int, rng *rand.
 
 // Auditor runs coverage audits with fixed parameters against an
 // oracle. The zero value is not usable; construct with NewAuditor.
+//
+// The middleware calls (WithBudget, WithJournal, WithTrust, WithCache)
+// declare layers of one oracle stack, in any order: the stack is built
+// at the first audit or stats call, always as cache → trust → journal
+// → budget governor → oracle, and lives for the auditor's lifetime. A
+// middleware call after that build panics; build a new Auditor to
+// audit under a different stack.
 type Auditor struct {
-	oracle      Oracle
+	leaf        Oracle
 	tau         int
 	setSize     int
 	seed        int64
 	parallelism int
 	retry       core.RetryPolicy
-	cache       *core.CachingOracle
-	budget      *core.BudgetedOracle
-	journaled   *core.JournalingOracle
-	trust       *core.TrustOracle
 	ctx         context.Context
+	stack       core.Stack
+
+	mu     sync.Mutex
+	layers *core.Layers // nil until built
 }
 
 // NewAuditor builds an auditor asking the oracle set queries of at
 // most setSize objects and requiring tau objects for coverage.
 func NewAuditor(o Oracle, tau, setSize int) *Auditor {
-	return &Auditor{oracle: o, tau: tau, setSize: setSize, seed: 1}
+	return &Auditor{leaf: o, tau: tau, setSize: setSize, seed: 1}
 }
 
 // WithSeed fixes the seed of the auditor's internal sampling phases
@@ -298,7 +306,8 @@ func (a *Auditor) WithSeed(seed int64) *Auditor {
 // depend on query order (the simulated crowd) as long as it answers
 // batches in request order (SimulatedCrowd and TruthOracle do; see
 // core.BatchOracle). The oracle must be safe for concurrent use when
-// parallelism > 1.
+// parallelism > 1. Under middleware, the oracle is lifted once, at the
+// width set when the stack is built.
 func (a *Auditor) WithParallelism(parallelism int) *Auditor {
 	a.parallelism = parallelism
 	return a
@@ -310,22 +319,20 @@ func (a *Auditor) WithParallelism(parallelism int) *Auditor {
 // scheduler; see WithParallelism.
 func (a *Auditor) WithLockstep() *Auditor { return a }
 
-// WithCache interposes a deduplicating query cache between the
-// auditor and the oracle: identical HITs (canonicalized id-set plus
-// group for set queries, object id for point queries) are paid for
-// once across every subsequent audit through this auditor. Transient
-// errors are never cached.
+// WithCache adds a deduplicating query cache on top of the stack:
+// identical HITs (canonicalized id-set plus group for set queries,
+// object id for point queries) are paid for once across every
+// audit through this auditor, and a cache hit never reaches the budget
+// governor, the journal or the crowd. Transient errors are never
+// cached.
 func (a *Auditor) WithCache() *Auditor {
-	if a.cache == nil {
-		a.cache = core.NewCachingOracle(a.oracle)
-		a.oracle = a.cache
-	}
+	a.unbuilt("WithCache")
+	a.stack.Cache = true
 	return a
 }
 
 // WithRetry re-posts transiently failing HITs (core.ErrTransient) up
-// to the policy's attempt budget instead of aborting multi-group
-// audits.
+// to the policy's attempt budget instead of aborting audits.
 func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
 	a.retry = policy
 	return a
@@ -333,24 +340,23 @@ func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
 
 // WithBudget caps the committed crowd queries of ALL audits through
 // this auditor with one shared budget governor — the deployment
-// control for a customer's spend cap. An audit that hits the cap
-// returns a deterministic partial result (result Exhausted flags,
-// unsettled groups carrying best-effort bounds) instead of an error;
-// the exhaustion point, partial verdicts, task counts and ledger spend
-// are byte-identical at every WithParallelism value. Like WithCache, the governor wraps the oracle stack as built
-// so far: call WithBudget before WithCache to let cache hits answer
-// for free without charging the budget, after it to charge every
-// query. Combine MaxSpend with SimulatedCrowd.HITCost (or your
-// platform's CostFunc) to denominate the cap in ledger dollars.
+// control for a customer's spend cap. The governor sits directly over
+// the oracle, so it charges every HIT actually posted and nothing
+// else. An audit that hits the cap returns a deterministic partial
+// result (result Exhausted flags, unsettled groups carrying
+// best-effort bounds) instead of an error; the exhaustion point,
+// partial verdicts, task counts and ledger spend are byte-identical at
+// every WithParallelism value. Combine MaxSpend with
+// SimulatedCrowd.HITCost (or your platform's CostFunc) to denominate
+// the cap in ledger dollars.
 //
 // The first call wins: one governor (and its accumulated spend) lives
 // for the auditor's lifetime, so later WithBudget calls are no-ops and
-// their argument is ignored — build a new Auditor to audit under a
-// different budget.
+// their argument is ignored.
 func (a *Auditor) WithBudget(b Budget) *Auditor {
-	if a.budget == nil {
-		a.budget = core.NewBudgetedOracle(a.oracle, b)
-		a.oracle = a.budget
+	a.unbuilt("WithBudget")
+	if a.stack.Budget == nil {
+		a.stack.Budget = &b
 	}
 	return a
 }
@@ -362,27 +368,22 @@ func (a *Auditor) WithBudget(b Budget) *Auditor {
 // the next audit without touching the oracle — resuming a killed job
 // with verdicts, task tallies and budget spend byte-identical to an
 // uninterrupted run, and without re-posting (or re-paying) a single
-// committed HIT. Replay verifies the resumed audit issues the exact
-// journaled requests and fails with ErrJournalMismatch otherwise.
-//
-// Replay leans on the deterministic round scheduler every audit runs
-// on: the round sequence is a pure function of committed answers.
-// Call it after WithBudget
-// (the governor's ledger is snapshotted per round and restored on
-// replay) and before WithCache (a cache above the journal re-fills
-// deterministically from replayed answers). Like the other stack
-// builders, the first call wins.
+// committed HIT. Each record snapshots the budget governor's ledger,
+// which replay restores. Replay verifies the resumed audit issues the
+// exact journaled requests and fails with ErrJournalMismatch
+// otherwise; it leans on the deterministic round scheduler every audit
+// runs on, whose round sequence is a pure function of committed
+// answers. The first call wins.
 func (a *Auditor) WithJournal(j RoundJournal, replay []RoundRecord) *Auditor {
-	if a.journaled == nil {
-		a.journaled = core.NewJournalingOracle(a.oracle, j, replay, a.budget).SetContext(a.ctx)
-		a.oracle = a.journaled
+	a.unbuilt("WithJournal")
+	if a.stack.Journal == nil && a.stack.Replay == nil {
+		a.stack.Journal, a.stack.Replay = j, replay
 	}
 	return a
 }
 
-// WithTrust interposes the adversarial-robustness middleware between
-// the auditor and the oracle stack built so far: gold-standard probe
-// HITs (TrustConfig.Probes, cycled on the policy's deterministic
+// WithTrust adds the adversarial-robustness middleware: gold-standard
+// probe HITs (TrustConfig.Probes, cycled on the policy's deterministic
 // schedule) are appended to committed set rounds, every worker's raw
 // answers from TrustConfig.Feed are scored by a sequential likelihood
 // ratio against the gold answers and the round consensus, and workers
@@ -393,35 +394,61 @@ func (a *Auditor) WithJournal(j RoundJournal, replay []RoundRecord) *Auditor {
 //
 // The probe schedule rides the committed round sequence, a pure
 // function of committed answers — so trust scores and screening
-// decisions are byte-identical at every WithParallelism value. Call it after WithJournal so the journal records (and
-// replays) the probe-augmented rounds: a resumed audit re-issues the
-// identical probes and re-reads the surviving feed, restoring every
-// trust score exactly. The feed is process-local, not journaled — an
-// in-process resume (same platform, surviving ResponseLog) restores
-// scores byte-identically, while a fresh process replays verdicts and
-// the probe schedule exactly but starts trust evidence empty. Like
-// the other stack builders, the first call wins. It returns an error
-// for an invalid policy or probe battery.
+// decisions are byte-identical at every WithParallelism value. The
+// journal records (and replays) the probe-augmented rounds: a resumed
+// audit re-issues the identical probes and re-reads the surviving
+// feed, restoring every trust score exactly. The feed is
+// process-local, not journaled — an in-process resume (same platform,
+// surviving ResponseLog) restores scores byte-identically, while a
+// fresh process replays verdicts and the probe schedule exactly but
+// starts trust evidence empty. The first call wins. It returns an
+// error for an invalid policy or probe battery.
 func (a *Auditor) WithTrust(cfg TrustConfig) (*Auditor, error) {
-	if a.trust == nil {
-		t, err := core.NewTrustOracle(a.oracle, cfg)
-		if err != nil {
+	a.unbuilt("WithTrust")
+	if a.stack.Trust == nil {
+		if err := cfg.Validate(); err != nil {
 			return a, err
 		}
-		a.trust = t
-		a.oracle = t
+		a.stack.Trust = &cfg
 	}
 	return a, nil
+}
+
+// unbuilt panics when a middleware call comes after the stack was
+// built: the layer could no longer join it.
+func (a *Auditor) unbuilt(call string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.layers != nil {
+		panic("imagecvg: Auditor." + call + " after the first audit or stats call; build a new Auditor")
+	}
+}
+
+// build assembles the stack on first use and returns it.
+func (a *Auditor) build() (core.Layers, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.layers == nil {
+		s := a.stack
+		s.Parallelism, s.Ctx = a.parallelism, a.ctx
+		l, err := s.Build(a.leaf)
+		if err != nil {
+			return core.Layers{}, err
+		}
+		a.layers = &l
+	}
+	return *a.layers, nil
 }
 
 // TrustStats returns the trust middleware's report — per-worker
 // scores, probes issued, workers excluded; ok is false when WithTrust
 // was never enabled.
 func (a *Auditor) TrustStats() (report TrustReport, ok bool) {
-	if a.trust == nil {
+	l, err := a.build()
+	if err != nil || l.Trust == nil {
 		return TrustReport{}, false
 	}
-	return a.trust.Report(), true
+	return l.Trust.Report(), true
 }
 
 // WithContext threads ctx through every audit of this auditor:
@@ -431,8 +458,10 @@ func (a *Auditor) TrustStats() (report TrustReport, ok bool) {
 // and was journaled, or never happened.
 func (a *Auditor) WithContext(ctx context.Context) *Auditor {
 	a.ctx = ctx
-	if a.journaled != nil {
-		a.journaled.SetContext(ctx)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.layers != nil && a.layers.Journal != nil {
+		a.layers.Journal.SetContext(ctx)
 	}
 	return a
 }
@@ -442,28 +471,31 @@ func (a *Auditor) WithContext(ctx context.Context) *Auditor {
 // the total rounds committed. ok is false when WithJournal was never
 // enabled.
 func (a *Auditor) JournalStats() (replayed, rounds int, ok bool) {
-	if a.journaled == nil {
+	l, err := a.build()
+	if err != nil || l.Journal == nil {
 		return 0, 0, false
 	}
-	return a.journaled.Replayed(), a.journaled.Rounds(), true
+	return l.Journal.Replayed(), l.Journal.Rounds(), true
 }
 
 // BudgetSpent returns the shared governor's committed consumption; ok
 // is false when WithBudget was never enabled.
 func (a *Auditor) BudgetSpent() (spent BudgetSpent, ok bool) {
-	if a.budget == nil {
+	l, err := a.build()
+	if err != nil || l.Budget == nil {
 		return BudgetSpent{}, false
 	}
-	return a.budget.Spent(), true
+	return l.Budget.Spent(), true
 }
 
 // CacheStats returns the hit/miss tally of the query cache; ok is
 // false when WithCache was never enabled.
 func (a *Auditor) CacheStats() (stats CacheStats, ok bool) {
-	if a.cache == nil {
+	l, err := a.build()
+	if err != nil || l.Cache == nil {
 		return CacheStats{}, false
 	}
-	return a.cache.Stats(), true
+	return l.Cache.Stats(), true
 }
 
 // multipleOptions assembles the engine options shared by the
@@ -477,21 +509,44 @@ func (a *Auditor) multipleOptions() core.MultipleOptions {
 	}
 }
 
-// AuditGroup decides whether one group is covered (Algorithm 1).
-func (a *Auditor) AuditGroup(ids []ObjectID, g Group) (GroupResult, error) {
-	return core.GroupCoverage(a.oracle, ids, a.setSize, a.tau, g)
+// runTask runs one sequential audit as a one-task lockstep run over
+// the stack, under the auditor's context and retry policy.
+func (a *Auditor) runTask(fn func(o Oracle) error) error {
+	l, err := a.build()
+	if err != nil {
+		return err
+	}
+	return core.RunTask(a.ctx, l.Top, a.retry, a.parallelism, fn)
+}
+
+// AuditGroup decides whether one group is covered (Algorithm 1). Each
+// query is its own round, so cancellation and retries apply per query.
+func (a *Auditor) AuditGroup(ids []ObjectID, g Group) (res GroupResult, err error) {
+	err = a.runTask(func(o Oracle) (err error) {
+		res, err = core.GroupCoverage(o, ids, a.setSize, a.tau, g)
+		return err
+	})
+	return res, err
 }
 
 // AuditBaseline decides coverage with the naive point-query scan
-// (Algorithm 7), for cost comparison.
-func (a *Auditor) AuditBaseline(ids []ObjectID, g Group) (GroupResult, error) {
-	return core.BaseCoverage(a.oracle, ids, a.tau, g)
+// (Algorithm 7), for cost comparison; see AuditGroup.
+func (a *Auditor) AuditBaseline(ids []ObjectID, g Group) (res GroupResult, err error) {
+	err = a.runTask(func(o Oracle) (err error) {
+		res, err = core.BaseCoverage(o, ids, a.tau, g)
+		return err
+	})
+	return res, err
 }
 
 // AuditGroups decides coverage for several groups with the
 // super-group aggregation heuristic (Algorithm 2).
 func (a *Auditor) AuditGroups(ids []ObjectID, groups []Group) (*MultipleResult, error) {
-	return core.MultipleCoverage(a.oracle, ids, a.setSize, a.tau, groups, a.multipleOptions())
+	l, err := a.build()
+	if err != nil {
+		return nil, err
+	}
+	return core.MultipleCoverage(l.Top, ids, a.setSize, a.tau, groups, a.multipleOptions())
 }
 
 // AuditAttribute audits every value of one schema attribute.
@@ -505,7 +560,11 @@ func (a *Auditor) AuditAttribute(ids []ObjectID, s *Schema, attr int) (*Multiple
 // AuditIntersectional discovers the maximal uncovered patterns over
 // all attributes of the schema (Algorithm 3).
 func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*IntersectionalResult, error) {
-	return core.IntersectionalCoverage(a.oracle, ids, a.setSize, a.tau, s, a.multipleOptions())
+	l, err := a.build()
+	if err != nil {
+		return nil, err
+	}
+	return core.IntersectionalCoverage(l.Top, ids, a.setSize, a.tau, s, a.multipleOptions())
 }
 
 // AuditWithClassifier audits one group using a pre-trained
@@ -518,7 +577,11 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // order-dependent simulated crowd. Results equal the paper's
 // sequential loops exactly for order-independent oracles.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
-	return core.ClassifierCoverage(a.oracle, ids, predicted, a.setSize, a.tau, g,
+	l, err := a.build()
+	if err != nil {
+		return ClassifierResult{}, err
+	}
+	return core.ClassifierCoverage(l.Top, ids, predicted, a.setSize, a.tau, g,
 		core.ClassifierOptions{
 			Rng:         rand.New(rand.NewSource(a.seed)),
 			Parallelism: a.parallelism,

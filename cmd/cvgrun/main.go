@@ -141,8 +141,6 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		if crowdOracle != nil {
 			budget.Cost = crowdOracle.HITCost()
 		}
-		// The governor sits under the cache: deduplicated HITs answer
-		// for free without consuming the budget.
 		auditor = auditor.WithBudget(budget)
 	}
 	if *resume && *journalAt == "" {
@@ -150,9 +148,6 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		return 2
 	}
 	if *journalAt != "" {
-		// The journal wraps the stack above the governor (paid rounds
-		// restore the ledger on replay, never re-charge it) and below
-		// the cache.
 		var (
 			jnl    *imagecvg.FileJournal
 			replay []imagecvg.RoundRecord
@@ -186,9 +181,6 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		}
 	}
 	if *trust {
-		// Trust wraps above the journal (probe-augmented rounds are
-		// journaled, so a resumed audit restores every trust score) and
-		// below the cache.
 		probes := imagecvg.GoldProbes(ds, imagecvg.GroupsForAttribute(ds.Schema(), 0), *probeN, *seed+99)
 		auditor, err = auditor.WithTrust(imagecvg.TrustConfig{
 			Probes: probes,

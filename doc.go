@@ -50,12 +50,17 @@
 //     queries on a non-batching oracle. With an order-independent
 //     oracle the verdicts and task counts equal the paper's
 //     sequential algorithms at every parallelism level.
-//   - Auditor.WithCache interposes a deduplicating query cache keyed
-//     on the canonicalized id-set and group (length-prefixed, so no
-//     crafted input can collide two distinct queries onto one cached
-//     answer), so a HIT already paid for is never posted twice;
-//     transient errors are never cached, and Auditor.WithRetry
-//     re-posts them instead of aborting.
+//   - Auditor.WithCache adds a deduplicating query cache keyed on the
+//     canonicalized id-set and group (length-prefixed, so no crafted
+//     input can collide two distinct queries onto one cached answer),
+//     so a HIT already paid for is never posted twice; transient
+//     errors are never cached, and Auditor.WithRetry re-posts them
+//     instead of aborting.
+//
+// WithCache, WithBudget, WithJournal and WithTrust declare layers of
+// one oracle stack, in any order. The stack is built at the first
+// audit, always as cache → trust → journal → budget governor → oracle
+// (core.Stack), with a non-batching oracle lifted once at the bottom.
 //
 // # Budget governance
 //

@@ -81,7 +81,8 @@ var (
 	NewRecordingOracle = core.NewRecordingOracle
 	// NewReplayOracle replays a recorded transcript.
 	NewReplayOracle = core.NewReplayOracle
-	// NewCachingOracle wraps any oracle with the deduplicating cache.
+	// NewCachingOracle wraps a batch oracle (see AsBatchOracle) with the
+	// deduplicating cache; most callers use Auditor.WithCache instead.
 	NewCachingOracle = core.NewCachingOracle
 	// NewBatchAdapter lifts a plain Oracle into batched execution over
 	// a bounded worker pool.
@@ -113,7 +114,7 @@ var (
 	// GoldProbes derives a deterministic gold-probe battery from ground
 	// truth.
 	GoldProbes = core.GoldProbes
-	// NewTrustOracle wraps any oracle with the trust middleware
+	// NewTrustOracle wraps a batch oracle with the trust middleware
 	// directly; most callers use Auditor.WithTrust instead.
 	NewTrustOracle = core.NewTrustOracle
 	// WorkerStrategyByName resolves an adversarial worker strategy
@@ -146,23 +147,33 @@ func (a *Auditor) PlanRepair(s *Schema, res *IntersectionalResult) (*RepairPlan,
 // parallelism in-flight queries, bounding audit latency by
 // 1+ceil(log2 n) rounds. The oracle must be safe for concurrent use.
 func (a *Auditor) AuditGroupBatched(ids []ObjectID, g Group, parallelism int) (RoundsResult, error) {
-	return core.GroupCoverageRounds(a.oracle, ids, a.setSize, a.tau, g, parallelism)
+	l, err := a.build()
+	if err != nil {
+		return RoundsResult{}, err
+	}
+	return core.GroupCoverageRounds(l.Top, ids, a.setSize, a.tau, g, parallelism)
 }
 
 // AuditGroupTraced is AuditGroup with execution-tree recording; the
 // returned trace renders as text (String) or Graphviz (DOT).
-func (a *Auditor) AuditGroupTraced(ids []ObjectID, g Group) (GroupResult, *ExecutionTrace, error) {
-	trace := &ExecutionTrace{}
-	res, err := core.GroupCoverageOpt(a.oracle, ids, a.setSize, a.tau, g,
-		core.GroupCoverageOptions{Trace: trace})
+func (a *Auditor) AuditGroupTraced(ids []ObjectID, g Group) (res GroupResult, trace *ExecutionTrace, err error) {
+	trace = &ExecutionTrace{}
+	err = a.runTask(func(o Oracle) (err error) {
+		res, err = core.GroupCoverageOpt(o, ids, a.setSize, a.tau, g, core.GroupCoverageOptions{Trace: trace})
+		return err
+	})
 	return res, trace, err
 }
 
 // AuditSampled runs the statistical baseline: uniform point-query
 // sampling with a Hoeffding confidence interval at level 1-delta and a
 // budget of maxTasks queries. Unlike AuditGroup it may return
-// undecided, and its verdicts are only probabilistic.
-func (a *Auditor) AuditSampled(ids []ObjectID, g Group, delta float64, maxTasks int) (SampledResult, error) {
-	return core.SampledCoverage(a.oracle, ids, a.tau, delta, maxTasks, g,
-		rand.New(rand.NewSource(a.seed)))
+// undecided, and its verdicts are only probabilistic. Like AuditGroup
+// it runs one query per round.
+func (a *Auditor) AuditSampled(ids []ObjectID, g Group, delta float64, maxTasks int) (res SampledResult, err error) {
+	err = a.runTask(func(o Oracle) (err error) {
+		res, err = core.SampledCoverage(o, ids, a.tau, delta, maxTasks, g, rand.New(rand.NewSource(a.seed)))
+		return err
+	})
+	return res, err
 }

@@ -50,10 +50,11 @@ type BatchOracle interface {
 }
 
 // batchAdapter lifts a plain Oracle into batched execution with a
-// bounded worker pool. The inner oracle must be safe for concurrent
-// use when parallelism > 1.
+// bounded worker pool; single queries go straight to the embedded
+// oracle. The oracle must be safe for concurrent use when
+// parallelism > 1.
 type batchAdapter struct {
-	inner       Oracle
+	Oracle
 	parallelism int
 }
 
@@ -63,45 +64,57 @@ type batchAdapter struct {
 // answers should not depend on call order, or batched runs will not
 // reproduce sequential ones.
 func NewBatchAdapter(o Oracle, parallelism int) BatchOracle {
-	return &batchAdapter{inner: o, parallelism: normalizeParallelism(parallelism)}
+	return &batchAdapter{Oracle: o, parallelism: normalizeParallelism(parallelism)}
 }
 
 // AsBatchOracle returns o itself when it already implements
-// BatchOracle natively, and otherwise lifts it with NewBatchAdapter.
-// The caching, retry and budget middlewares additionally inherit the
-// caller's parallelism for the rounds they forward themselves.
+// BatchOracle natively, and otherwise lifts it with NewBatchAdapter at
+// the given width.
 func AsBatchOracle(o Oracle, parallelism int) BatchOracle {
-	switch v := o.(type) {
-	case *CachingOracle:
-		return v.WithBatchParallelism(parallelism)
-	case *retryOracle:
-		return v.withBatchParallelism(parallelism)
-	case *BudgetedOracle:
-		return v.withBatchParallelism(parallelism)
-	case *JournalingOracle:
-		return v.withBatchParallelism(parallelism)
-	case *TrustOracle:
-		return v.withBatchParallelism(parallelism)
-	}
 	if bo, ok := o.(BatchOracle); ok {
 		return bo
 	}
 	return NewBatchAdapter(o, parallelism)
 }
 
-// SetQuery implements Oracle by delegation.
-func (a *batchAdapter) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return a.inner.SetQuery(ids, g)
+// batchRounds is the batch half of BatchOracle: the only interface the
+// middleware layers call on the layer below them.
+type batchRounds interface {
+	SetQueryBatch(reqs []SetRequest) ([]bool, error)
+	PointQueryBatch(ids []dataset.ObjectID) ([][]int, error)
 }
 
-// ReverseSetQuery implements Oracle by delegation.
-func (a *batchAdapter) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return a.inner.ReverseSetQuery(ids, g)
+// oneQueryRounds derives the single-query Oracle methods from a
+// layer's batch methods: every single query is a one-element round, so
+// it is cached, charged, journaled and screened exactly like a round
+// the lockstep scheduler commits. The middlewares embed it.
+type oneQueryRounds struct{ rounds batchRounds }
+
+// SetQuery implements Oracle as a one-element set round.
+func (o oneQueryRounds) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return onlyAnswer(o.rounds.SetQueryBatch([]SetRequest{{IDs: ids, Group: g}}))
 }
 
-// PointQuery implements Oracle by delegation.
-func (a *batchAdapter) PointQuery(id dataset.ObjectID) ([]int, error) {
-	return a.inner.PointQuery(id)
+// ReverseSetQuery implements Oracle as a one-element reverse-set round.
+func (o oneQueryRounds) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return onlyAnswer(o.rounds.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: true}}))
+}
+
+// PointQuery implements Oracle as a one-element point round.
+func (o oneQueryRounds) PointQuery(id dataset.ObjectID) ([]int, error) {
+	return onlyAnswer(o.rounds.PointQueryBatch([]dataset.ObjectID{id}))
+}
+
+// onlyAnswer unpacks a one-element round.
+func onlyAnswer[T any](answers []T, err error) (T, error) {
+	if err == nil && len(answers) == 0 {
+		err = errShortBatch(0, 1)
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return answers[0], nil
 }
 
 // firstError returns the lowest-indexed non-nil error.
@@ -120,9 +133,9 @@ func (a *batchAdapter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	err := RunBounded(a.parallelism, len(reqs), func(i int) error {
 		var e error
 		if reqs[i].Reverse {
-			answers[i], e = a.inner.ReverseSetQuery(reqs[i].IDs, reqs[i].Group)
+			answers[i], e = a.Oracle.ReverseSetQuery(reqs[i].IDs, reqs[i].Group)
 		} else {
-			answers[i], e = a.inner.SetQuery(reqs[i].IDs, reqs[i].Group)
+			answers[i], e = a.Oracle.SetQuery(reqs[i].IDs, reqs[i].Group)
 		}
 		return e
 	})
@@ -137,7 +150,7 @@ func (a *batchAdapter) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) 
 	labels := make([][]int, len(ids))
 	err := RunBounded(a.parallelism, len(ids), func(i int) error {
 		var e error
-		labels[i], e = a.inner.PointQuery(ids[i])
+		labels[i], e = a.Oracle.PointQuery(ids[i])
 		return e
 	})
 	if err != nil {

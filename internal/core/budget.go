@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"imagecvg/internal/dataset"
-	"imagecvg/internal/pattern"
 )
 
 // This file is the budget-governance subsystem: audits are
@@ -109,17 +108,17 @@ func (s BudgetSpent) HITs() int { return s.Point + s.Set + s.ReverseSet }
 // makes the exhaustion point a pure function of the committed query sequence,
 // byte-identical at every Parallelism value.
 //
-// Place the governor directly over the platform (or its retry/cache
-// stack's inner oracle) so it charges real HITs: a cache in front of
-// the governor dedups for free, a cache behind it would let hits be
-// charged. Safe for concurrent use when the inner oracle is.
+// A single query is a one-element round. Stack.Build places the
+// governor directly over the leaf, so it charges real HITs and every
+// cache hit above it is free. Safe for concurrent use when the inner
+// oracle is.
 type BudgetedOracle struct {
-	inner  Oracle
+	oneQueryRounds
+	inner  BatchOracle
 	budget Budget
 
-	mu         sync.Mutex
-	spent      BudgetSpent
-	batchWidth int
+	mu    sync.Mutex
+	spent BudgetSpent
 }
 
 // normalizeBudget clamps negative caps to zero (the cap's "disabled"
@@ -150,23 +149,26 @@ func normalizeBudget(b Budget) Budget {
 // NewBudgetedOracle wraps inner with the budget governor. A zero
 // (inactive) budget still counts spend but never refuses a query;
 // negative caps normalize to zero (disabled).
-func NewBudgetedOracle(inner Oracle, b Budget) *BudgetedOracle {
-	return &BudgetedOracle{inner: inner, budget: normalizeBudget(b), batchWidth: 1}
+func NewBudgetedOracle(inner BatchOracle, b Budget) *BudgetedOracle {
+	g := &BudgetedOracle{inner: inner, budget: normalizeBudget(b)}
+	g.oneQueryRounds = oneQueryRounds{g}
+	return g
 }
 
 // applyBudget resolves the governor for one audit: an oracle that
 // already IS a governor (the Auditor shares one across audits) is
 // reused — opts-level budgets never double-wrap — and otherwise an
-// active budget wraps the oracle here. The returned oracle is what the
-// audit must query through; gov is nil when no budget governs.
-func applyBudget(o Oracle, b Budget) (Oracle, *BudgetedOracle) {
+// active budget wraps the oracle, lifted at the audit's width, here.
+// The returned oracle is what the audit must query through; gov is nil
+// when no budget governs.
+func applyBudget(o Oracle, b Budget, parallelism int) (Oracle, *BudgetedOracle) {
 	if gov, ok := o.(*BudgetedOracle); ok {
 		return o, gov
 	}
 	if b = normalizeBudget(b); !b.Active() {
 		return o, nil
 	}
-	gov := NewBudgetedOracle(o, b)
+	gov := NewBudgetedOracle(AsBatchOracle(o, parallelism), b)
 	return gov, gov
 }
 
@@ -196,25 +198,6 @@ func (g *BudgetedOracle) restoreSpent(s BudgetSpent) {
 	g.mu.Lock()
 	g.spent = s
 	g.mu.Unlock()
-}
-
-// withBatchParallelism widens the pool used to forward admitted
-// prefixes when the inner oracle has no native batching; AsBatchOracle
-// propagates the caller's width here.
-func (g *BudgetedOracle) withBatchParallelism(parallelism int) *BudgetedOracle {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if parallelism > g.batchWidth {
-		g.batchWidth = parallelism
-	}
-	return g
-}
-
-// width returns the current forwarding pool width.
-func (g *BudgetedOracle) width() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.batchWidth
 }
 
 // kindCap returns the kind's tally pointer and its cap.
@@ -279,57 +262,38 @@ func minInt(a, b int) int {
 	return b
 }
 
-// SetQuery implements Oracle.
-func (g *BudgetedOracle) SetQuery(ids []dataset.ObjectID, gr pattern.Group) (bool, error) {
-	g.mu.Lock()
-	ok := g.admit(HITSet, len(ids))
-	g.mu.Unlock()
-	if !ok {
-		return false, ErrBudgetExhausted
-	}
-	return g.inner.SetQuery(ids, gr)
-}
-
-// ReverseSetQuery implements Oracle.
-func (g *BudgetedOracle) ReverseSetQuery(ids []dataset.ObjectID, gr pattern.Group) (bool, error) {
-	g.mu.Lock()
-	ok := g.admit(HITReverseSet, len(ids))
-	g.mu.Unlock()
-	if !ok {
-		return false, ErrBudgetExhausted
-	}
-	return g.inner.ReverseSetQuery(ids, gr)
-}
-
-// PointQuery implements Oracle.
-func (g *BudgetedOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	g.mu.Lock()
-	ok := g.admit(HITPoint, 1)
-	g.mu.Unlock()
-	if !ok {
-		return nil, ErrBudgetExhausted
-	}
-	return g.inner.PointQuery(id)
-}
-
-// admitSetPrefix charges a batch's requests in request order and
-// returns the length of the affordable prefix.
-func (g *BudgetedOracle) admitSetPrefix(reqs []SetRequest) int {
+// admitPrefix charges n requests in request order — request i has the
+// given shape — and returns the length of the affordable prefix.
+func (g *BudgetedOracle) admitPrefix(n int, shape func(i int) (HITKind, int)) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, req := range reqs {
-		kind := HITSet
-		if req.Reverse {
-			kind = HITReverseSet
-		}
-		if !g.admit(kind, len(req.IDs)) {
+	for i := 0; i < n; i++ {
+		if !g.admit(shape(i)) {
 			// Later requests are denied too: canonical order means the
 			// round is charged front to back, nothing is skipped over.
-			g.spent.Denied += len(reqs) - i - 1
+			g.spent.Denied += n - i - 1
 			return i
 		}
 	}
-	return len(reqs)
+	return n
+}
+
+// forwardPrefix forwards the admitted prefix of k out of n requests and
+// returns its answers, with ErrBudgetExhausted when k < n. An inner
+// failure may itself carry a committed prefix: those paid answers
+// propagate with the error instead of being discarded.
+func forwardPrefix[T any](k, n int, forward func(k int) ([]T, error)) ([]T, error) {
+	var answers []T
+	if k > 0 {
+		var err error
+		if answers, err = forward(k); err != nil {
+			return answers, err
+		}
+	}
+	if k < n {
+		return answers, ErrBudgetExhausted
+	}
+	return answers, nil
 }
 
 // SetQueryBatch implements BatchOracle with partial-prefix commits: the
@@ -337,50 +301,19 @@ func (g *BudgetedOracle) admitSetPrefix(reqs []SetRequest) int {
 // answered; a shortfall returns those prefix answers alongside
 // ErrBudgetExhausted for the rest.
 func (g *BudgetedOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
-	k := g.admitSetPrefix(reqs)
-	var answers []bool
-	if k > 0 {
-		var err error
-		answers, err = AsBatchOracle(g.inner, g.width()).SetQueryBatch(reqs[:k])
-		if err != nil {
-			// The inner oracle may itself have committed a prefix (a
-			// cache stacked below the governor): propagate those paid
-			// answers with the error instead of discarding them.
-			return answers, err
+	k := g.admitPrefix(len(reqs), func(i int) (HITKind, int) {
+		if reqs[i].Reverse {
+			return HITReverseSet, len(reqs[i].IDs)
 		}
-	}
-	if k < len(reqs) {
-		return answers, ErrBudgetExhausted
-	}
-	return answers, nil
+		return HITSet, len(reqs[i].IDs)
+	})
+	return forwardPrefix(k, len(reqs), func(k int) ([]bool, error) { return g.inner.SetQueryBatch(reqs[:k]) })
 }
 
 // PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (g *BudgetedOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
-	g.mu.Lock()
-	k := 0
-	for range ids {
-		if !g.admit(HITPoint, 1) {
-			g.spent.Denied += len(ids) - k - 1
-			break
-		}
-		k++
-	}
-	g.mu.Unlock()
-	var labels [][]int
-	if k > 0 {
-		var err error
-		labels, err = AsBatchOracle(g.inner, g.width()).PointQueryBatch(ids[:k])
-		if err != nil {
-			// Propagate the inner oracle's committed prefix; see
-			// SetQueryBatch.
-			return labels, err
-		}
-	}
-	if k < len(ids) {
-		return labels, ErrBudgetExhausted
-	}
-	return labels, nil
+	k := g.admitPrefix(len(ids), func(int) (HITKind, int) { return HITPoint, 1 })
+	return forwardPrefix(k, len(ids), func(k int) ([][]int, error) { return g.inner.PointQueryBatch(ids[:k]) })
 }
 
 // headroomOf returns gov.Headroom when a governor is present and

@@ -37,27 +37,28 @@ func (s CacheStats) HitRate() float64 {
 //
 // Concurrent identical queries are collapsed in flight: the first
 // caller posts the HIT while the others wait for its answer, so a
-// parallel audit round never double-pays for duplicates either. Safe
-// for concurrent use when the inner oracle is.
+// parallel audit round never double-pays for duplicates either. A
+// single query is a one-element round. Safe for concurrent use when
+// the inner oracle is.
 //
 // Caching deliberately changes task counts — that is the point — so
 // equivalence experiments comparing engine variants must run uncached.
 type CachingOracle struct {
-	inner Oracle
+	oneQueryRounds
+	inner BatchOracle
 
-	mu         sync.Mutex
-	answers    map[string]bool
-	labels     map[dataset.ObjectID][]int
-	inflight   map[string]*inflightCall
-	stats      CacheStats
-	batchWidth int
+	mu       sync.Mutex
+	answers  map[string]bool
+	labels   map[string][]int
+	inflight map[string]*inflightCall
+	stats    CacheStats
 
 	// Key-building scratch, guarded by mu. Lookups go through
 	// map[string(bytes)] expressions, which Go compiles without
 	// materializing the string, so a cache hit allocates nothing; the
 	// string is built only when a key must be stored. keyBuf and
-	// offScratch are stolen (swapped to nil) by SetQueryBatch, whose
-	// keys must survive an unlock — a concurrent caller appending to a
+	// offScratch are stolen (swapped to nil) by cacheRound, whose keys
+	// must survive an unlock — a concurrent caller appending to a
 	// shared buffer would scribble over them.
 	keyBuf        []byte
 	offScratch    []int
@@ -65,44 +66,23 @@ type CachingOracle struct {
 	memberScratch []string
 }
 
-// inflightCall is a pending inner query other callers wait on.
+// inflightCall is a pending inner query other callers wait on; on
+// success the answer is in the cache when done closes.
 type inflightCall struct {
-	done   chan struct{}
-	answer bool
-	labels []int
-	err    error
+	done chan struct{}
+	err  error
 }
 
-// NewCachingOracle wraps an oracle with the deduplicating cache.
-func NewCachingOracle(inner Oracle) *CachingOracle {
-	return &CachingOracle{
-		inner:      inner,
-		answers:    make(map[string]bool),
-		labels:     make(map[dataset.ObjectID][]int),
-		inflight:   make(map[string]*inflightCall),
-		batchWidth: 1,
+// NewCachingOracle wraps a batch oracle with the deduplicating cache.
+func NewCachingOracle(inner BatchOracle) *CachingOracle {
+	c := &CachingOracle{
+		inner:    inner,
+		answers:  make(map[string]bool),
+		labels:   make(map[string][]int),
+		inflight: make(map[string]*inflightCall),
 	}
-}
-
-// WithBatchParallelism widens the worker pool used to forward a
-// round's distinct misses when the inner oracle has no native
-// batching (it never narrows). AsBatchOracle propagates the caller's
-// width here automatically, so a cached oracle inside a batched audit
-// keeps the audit's parallelism instead of serializing every round.
-func (c *CachingOracle) WithBatchParallelism(parallelism int) *CachingOracle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if parallelism > c.batchWidth {
-		c.batchWidth = parallelism
-	}
+	c.oneQueryRounds = oneQueryRounds{c}
 	return c
-}
-
-// width returns the current miss-forwarding pool width.
-func (c *CachingOracle) width() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batchWidth
 }
 
 // Stats returns the hit/miss tally so far.
@@ -201,120 +181,10 @@ func (c *CachingOracle) canonSet(ids []dataset.ObjectID, g pattern.Group) ([]int
 	return sorted, members
 }
 
-func (c *CachingOracle) countSet(t *TaskCounts, reverse bool) {
-	if reverse {
-		t.ReverseSet++
-	} else {
-		t.Set++
-	}
-}
-
-// settleSet publishes the inner oracle's outcome for an in-flight key:
-// successful answers enter the cache, errors only release the waiters.
-func (c *CachingOracle) settleSet(key string, ans bool, err error) {
-	c.mu.Lock()
-	call := c.inflight[key]
-	delete(c.inflight, key)
-	if err == nil {
-		c.answers[key] = ans
-	}
-	c.mu.Unlock()
-	if call != nil {
-		call.answer, call.err = ans, err
-		close(call.done)
-	}
-}
-
-func (c *CachingOracle) setQuery(ids []dataset.ObjectID, g pattern.Group, reverse bool) (bool, error) {
-	c.mu.Lock()
-	sorted, members := c.canonSet(ids, g)
-	c.keyBuf = appendSetKey(c.keyBuf[:0], sorted, members, reverse)
-	if ans, ok := c.answers[string(c.keyBuf)]; ok {
-		c.countSet(&c.stats.Hits, reverse)
-		c.mu.Unlock()
-		return ans, nil
-	}
-	if call, ok := c.inflight[string(c.keyBuf)]; ok {
-		c.countSet(&c.stats.Hits, reverse)
-		c.mu.Unlock()
-		<-call.done
-		return call.answer, call.err
-	}
-	c.countSet(&c.stats.Misses, reverse)
-	key := string(c.keyBuf) // materialized only when the HIT is posted
-	c.inflight[key] = &inflightCall{done: make(chan struct{})}
-	c.mu.Unlock()
-
-	var ans bool
-	var err error
-	if reverse {
-		ans, err = c.inner.ReverseSetQuery(ids, g)
-	} else {
-		ans, err = c.inner.SetQuery(ids, g)
-	}
-	c.settleSet(key, ans, err)
-	return ans, err
-}
-
-// SetQuery implements Oracle.
-func (c *CachingOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return c.setQuery(ids, g, false)
-}
-
-// ReverseSetQuery implements Oracle.
-func (c *CachingOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return c.setQuery(ids, g, true)
-}
-
-// pointKey is the in-flight key of one point query.
-func pointKey(id dataset.ObjectID) string { return string(appendPointKey(nil, id)) }
-
-// appendPointKey appends pointKey's bytes to dst.
+// appendPointKey appends the key of one point query to dst.
 func appendPointKey(dst []byte, id dataset.ObjectID) []byte {
 	dst = append(dst, 'p', '|')
 	return strconv.AppendInt(dst, int64(id), 10)
-}
-
-// settlePoint publishes the inner oracle's outcome for an in-flight
-// point query; successful labels enter the cache, errors only release
-// the waiters.
-func (c *CachingOracle) settlePoint(id dataset.ObjectID, labels []int, err error) {
-	c.mu.Lock()
-	key := pointKey(id)
-	call := c.inflight[key]
-	delete(c.inflight, key)
-	if err == nil {
-		c.labels[id] = cloneLabels(labels)
-	}
-	c.mu.Unlock()
-	if call != nil {
-		call.labels, call.err = labels, err
-		close(call.done)
-	}
-}
-
-// PointQuery implements Oracle.
-func (c *CachingOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	c.mu.Lock()
-	if labels, ok := c.labels[id]; ok {
-		c.stats.Hits.Point++
-		c.mu.Unlock()
-		return cloneLabels(labels), nil
-	}
-	c.keyBuf = appendPointKey(c.keyBuf[:0], id)
-	if call, ok := c.inflight[string(c.keyBuf)]; ok {
-		c.stats.Hits.Point++
-		c.mu.Unlock()
-		<-call.done
-		return cloneLabels(call.labels), call.err
-	}
-	c.stats.Misses.Point++
-	c.inflight[string(c.keyBuf)] = &inflightCall{done: make(chan struct{})}
-	c.mu.Unlock()
-
-	labels, err := c.inner.PointQuery(id)
-	c.settlePoint(id, labels, err)
-	return labels, err
 }
 
 // cloneLabels copies a label vector; nil stays nil.
@@ -327,85 +197,128 @@ func cloneLabels(labels []int) []int {
 	return out
 }
 
-// SetQueryBatch implements BatchOracle: duplicates inside the round
-// collapse onto one inner request, cached keys are answered for free,
-// keys another caller is already posting are waited on instead of
-// re-posted, and only the distinct misses this round owns reach the
-// inner oracle — natively batched when it implements BatchOracle
-// itself, otherwise across the propagated worker-pool width.
+// cacheKind adapts one HIT kind to cacheRound: how a query is keyed
+// and tallied, which table holds its answers, how an answer is copied
+// in and out, and how a round of misses is posted.
+type cacheKind[Q, A any] struct {
+	appendKey func(c *CachingOracle, dst []byte, q Q) []byte
+	count     func(t *TaskCounts, q Q)
+	table     func(c *CachingOracle) map[string]A
+	clone     func(A) A
+	post      func(inner BatchOracle, qs []Q) ([]A, error)
+}
+
+var setKind = cacheKind[SetRequest, bool]{
+	appendKey: func(c *CachingOracle, dst []byte, req SetRequest) []byte {
+		sorted, members := c.canonSet(req.IDs, req.Group)
+		return appendSetKey(dst, sorted, members, req.Reverse)
+	},
+	count: func(t *TaskCounts, req SetRequest) {
+		if req.Reverse {
+			t.ReverseSet++
+		} else {
+			t.Set++
+		}
+	},
+	table: func(c *CachingOracle) map[string]bool { return c.answers },
+	clone: func(ans bool) bool { return ans },
+	post:  BatchOracle.SetQueryBatch,
+}
+
+var pointKind = cacheKind[dataset.ObjectID, []int]{
+	appendKey: func(_ *CachingOracle, dst []byte, id dataset.ObjectID) []byte { return appendPointKey(dst, id) },
+	count:     func(t *TaskCounts, _ dataset.ObjectID) { t.Point++ },
+	table:     func(c *CachingOracle) map[string][]int { return c.labels },
+	clone:     cloneLabels,
+	post:      BatchOracle.PointQueryBatch,
+}
+
+// SetQueryBatch implements BatchOracle; see cacheRound.
 func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
-	answers := make([]bool, len(reqs))
-	var missReqs []SetRequest
+	return cacheRound(c, reqs, setKind)
+}
+
+// PointQueryBatch implements BatchOracle; see cacheRound.
+func (c *CachingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	return cacheRound(c, ids, pointKind)
+}
+
+// cacheRound runs one round through the cache: duplicates inside the
+// round collapse onto one inner request, cached keys are answered for
+// free, keys another caller is already posting are waited on instead
+// of re-posted, and only the distinct misses this round owns reach the
+// inner oracle, as one batch.
+func cacheRound[Q, A any](c *CachingOracle, qs []Q, kind cacheKind[Q, A]) ([]A, error) {
+	var missQs []Q
 	var missKeys []string
-	var owned map[string]bool
-	var waits map[string]*inflightCall
-	var waitCalls []*inflightCall
+	var owned, waiting map[string]bool
+	var waits []*inflightCall
 
 	c.mu.Lock()
+	table := kind.table(c)
 	// Steal the key scratch for this round: the keys (arena bytes plus
 	// [start,end) offset pairs) must survive the unlock below for final
 	// assembly, and a concurrent caller appending to the shared buffer
 	// would scribble over them. Given back under the assembly lock.
 	arena, offs := c.keyBuf[:0], c.offScratch[:0]
 	c.keyBuf, c.offScratch = nil, nil
-	for i, req := range reqs {
-		sorted, members := c.canonSet(req.IDs, req.Group)
+	for _, q := range qs {
 		start := len(arena)
-		arena = appendSetKey(arena, sorted, members, req.Reverse)
+		arena = kind.appendKey(c, arena, q)
 		offs = append(offs, start, len(arena))
 		key := arena[start:]
-		if ans, ok := c.answers[string(key)]; ok {
-			c.countSet(&c.stats.Hits, req.Reverse)
-			answers[i] = ans
-			continue
-		}
-		if owned[string(key)] || waits[string(key)] != nil {
-			c.countSet(&c.stats.Hits, req.Reverse)
+		if _, ok := table[string(key)]; ok || owned[string(key)] || waiting[string(key)] {
+			kind.count(&c.stats.Hits, q)
 			continue
 		}
 		if call, ok := c.inflight[string(key)]; ok {
 			// Another caller is posting this HIT right now.
-			c.countSet(&c.stats.Hits, req.Reverse)
-			if waits == nil {
-				waits = make(map[string]*inflightCall)
+			kind.count(&c.stats.Hits, q)
+			if waiting == nil {
+				waiting = make(map[string]bool)
 			}
-			waits[string(key)] = call
-			waitCalls = append(waitCalls, call)
+			waiting[string(key)] = true
+			waits = append(waits, call)
 			continue
 		}
-		c.countSet(&c.stats.Misses, req.Reverse)
-		k := string(key)
+		kind.count(&c.stats.Misses, q)
+		k := string(key) // materialized only when the HIT is posted
 		c.inflight[k] = &inflightCall{done: make(chan struct{})}
 		if owned == nil {
 			owned = make(map[string]bool)
 		}
 		owned[k] = true
-		missReqs = append(missReqs, req)
+		missQs = append(missQs, q)
 		missKeys = append(missKeys, k)
 	}
 	c.mu.Unlock()
 
-	var missAnswers []bool
+	var missAnswers []A
 	var missErr error
-	if len(missReqs) > 0 {
-		missAnswers, missErr = AsBatchOracle(c.inner, c.width()).SetQueryBatch(missReqs)
+	if len(missQs) > 0 {
+		missAnswers, missErr = kind.post(c.inner, missQs)
 	}
 	// A failing inner batch may still have committed a prefix (a budget
 	// governor admits what the remaining budget affords — those HITs
 	// were posted and paid): cache the committed answers, release the
-	// refused keys with the error.
+	// refused keys with the error. Errors are never cached.
+	c.mu.Lock()
 	for j, key := range missKeys {
+		call := c.inflight[key]
+		delete(c.inflight, key)
 		if j < len(missAnswers) {
-			c.settleSet(key, missAnswers[j], nil)
+			table[key] = kind.clone(missAnswers[j])
 		} else {
-			c.settleSet(key, false, missErr)
+			call.err = missErr
 		}
+		close(call.done)
 	}
-	// Wait in round-scan order (waitCalls, not the waits map): when
-	// several in-flight calls fail with different errors, the error
-	// this round surfaces must be the same on every run — map order
-	// would hand the retry classifier a different error each time.
-	for _, call := range waitCalls {
+	c.mu.Unlock()
+	// Wait in round-scan order, not map order: when several in-flight
+	// calls fail with different errors, the error this round surfaces
+	// must be the same on every run — map order would hand the retry
+	// classifier a different error each time.
+	for _, call := range waits {
 		<-call.done
 		if call.err != nil && missErr == nil {
 			missErr = call.err
@@ -418,95 +331,19 @@ func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	// them.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Give the stolen scratch back; reading arena below stays safe
-	// because no other caller can touch keyBuf until we unlock.
 	c.keyBuf, c.offScratch = arena, offs
-	for i := range reqs {
-		ans, ok := c.answers[string(arena[offs[2*i]:offs[2*i+1]])]
+	answers := make([]A, len(qs))
+	for i := range qs {
+		ans, ok := table[string(arena[offs[2*i]:offs[2*i+1]])]
 		if !ok {
 			if missErr == nil {
 				missErr = errors.New("core: cache round left a query unanswered")
 			}
 			return answers[:i], missErr
 		}
-		answers[i] = ans
+		answers[i] = kind.clone(ans)
 	}
 	// Every request was answered (a failure elsewhere never blocked
 	// this round's keys): the full round committed.
 	return answers, nil
-}
-
-// PointQueryBatch implements BatchOracle; see SetQueryBatch.
-func (c *CachingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
-	labels := make([][]int, len(ids))
-	var missIDs []dataset.ObjectID
-	var owned map[dataset.ObjectID]bool
-	var waits map[dataset.ObjectID]*inflightCall
-	var waitCalls []*inflightCall
-
-	c.mu.Lock()
-	for _, id := range ids {
-		if _, ok := c.labels[id]; ok {
-			c.stats.Hits.Point++
-			continue
-		}
-		if owned[id] || waits[id] != nil {
-			c.stats.Hits.Point++
-			continue
-		}
-		c.keyBuf = appendPointKey(c.keyBuf[:0], id)
-		if call, ok := c.inflight[string(c.keyBuf)]; ok {
-			c.stats.Hits.Point++
-			if waits == nil {
-				waits = make(map[dataset.ObjectID]*inflightCall)
-			}
-			waits[id] = call
-			waitCalls = append(waitCalls, call)
-			continue
-		}
-		c.stats.Misses.Point++
-		c.inflight[string(c.keyBuf)] = &inflightCall{done: make(chan struct{})}
-		if owned == nil {
-			owned = make(map[dataset.ObjectID]bool)
-		}
-		owned[id] = true
-		missIDs = append(missIDs, id)
-	}
-	c.mu.Unlock()
-
-	var missLabels [][]int
-	var missErr error
-	if len(missIDs) > 0 {
-		missLabels, missErr = AsBatchOracle(c.inner, c.width()).PointQueryBatch(missIDs)
-	}
-	// Cache any committed prefix of a failing batch and release the
-	// refused ids with the error; see SetQueryBatch.
-	for j, id := range missIDs {
-		if j < len(missLabels) {
-			c.settlePoint(id, missLabels[j], nil)
-		} else {
-			c.settlePoint(id, nil, missErr)
-		}
-	}
-	// Round-scan order, not map order: the surfaced error must be
-	// deterministic; see SetQueryBatch.
-	for _, call := range waitCalls {
-		<-call.done
-		if call.err != nil && missErr == nil {
-			missErr = call.err
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, id := range ids {
-		cached, ok := c.labels[id]
-		if !ok {
-			if missErr == nil {
-				missErr = errors.New("core: cache round left a query unanswered")
-			}
-			return labels[:i], missErr
-		}
-		labels[i] = cloneLabels(cached)
-	}
-	return labels, nil
 }

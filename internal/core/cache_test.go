@@ -116,7 +116,7 @@ func TestCacheDoesNotCacheTransientErrors(t *testing.T) {
 	d := binaryDataset(t, []int{0, 1, 1, 0})
 	inner := NewTruthOracle(d)
 	flaky := &FlakyOracle{Inner: inner, FailEvery: 1} // first call fails
-	c := NewCachingOracle(flaky)
+	c := NewCachingOracle(NewBatchAdapter(flaky, 1))
 	g := female(d)
 	ids := d.IDs()
 
@@ -216,7 +216,7 @@ func TestCacheCollapsesConcurrentIdenticalQueries(t *testing.T) {
 		entered: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	c := NewCachingOracle(blocking)
+	c := NewCachingOracle(NewBatchAdapter(blocking, 1))
 	g := female(d)
 	ids := d.IDs()
 
@@ -337,7 +337,7 @@ func TestCacheWaitErrorDeterministic(t *testing.T) {
 			release: make(chan struct{}),
 			errs:    map[dataset.ObjectID]error{1: err1, 2: err2},
 		}
-		c := NewCachingOracle(inner)
+		c := NewCachingOracle(NewBatchAdapter(inner, 1))
 
 		var wg sync.WaitGroup
 		wg.Add(2)

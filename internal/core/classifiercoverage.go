@@ -49,9 +49,8 @@ type ClassifierOptions struct {
 	Parallelism int
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
 	// of aborting the audit. The whole audit shares one retry wrapper
-	// (a classifier audit is a single task); jitter is drawn from Rng
-	// under the wrapper's lock, on retries only, so a failure-free run
-	// is unaffected.
+	// (a classifier audit is a single task); its jitter draws from a
+	// fixed seed, never from Rng.
 	Retry RetryPolicy
 	// Budget caps the committed crowd queries of this audit (see
 	// MultipleOptions.Budget): exhaustion yields a partial
@@ -165,12 +164,16 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	o, gov := applyBudget(o, opts.Budget)
-	o = withRetry(ctx, o, opts.Retry, opts.Rng)
+	o, gov := applyBudget(o, opts.Budget, opts.Parallelism)
+	o = withRetry(ctx, o, opts.Retry, fixedJitterSeed, opts.Parallelism)
 
 	// Without predictions there is nothing to exploit.
 	if len(predicted) == 0 {
-		gc, err := GroupCoverage(o, ids, n, tau, g)
+		var gc GroupResult
+		err := RunTask(ctx, o, RetryPolicy{}, opts.Parallelism, func(audit Oracle) (err error) {
+			gc, err = GroupCoverage(audit, ids, n, tau, g)
+			return err
+		})
 		if err != nil {
 			return res, err
 		}
@@ -182,7 +185,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		res.Tasks = gc.Tasks
 		return res, nil
 	}
-	e := &classifierEngine{bo: AsBatchOracle(o, normalizeParallelism(opts.Parallelism)), gov: gov, ctx: ctx}
+	e := &classifierEngine{bo: AsBatchOracle(o, opts.Parallelism), gov: gov, ctx: ctx}
 
 	// Line 2-3: estimate precision on a sample of G, posted as one
 	// point-query round.
@@ -228,7 +231,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		return classifierExhausted(res, verified, tau), nil
 	}
 
-	return classifierFinish(o, ids, inPredicted, n, tau, verified, exactClean, g, res)
+	return classifierFinish(ctx, o, opts.Parallelism, ids, inPredicted, n, tau, verified, exactClean, g, res)
 }
 
 // classifierInputs validates a Classifier-Coverage call, resolves the
@@ -297,8 +300,8 @@ func sampleBudget(fraction float64, predicted int) int {
 // positives end the audit; otherwise Group-Coverage hunts the
 // remaining tau - verified false negatives in D - G. The residual
 // search is a single adaptive query chain (each set query depends on
-// the previous answer), so it runs one query at a time.
-func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau, verified int, exactClean bool, g pattern.Group, res ClassifierResult) (ClassifierResult, error) {
+// the previous answer), so it runs as a one-task lockstep audit.
+func classifierFinish(ctx context.Context, o Oracle, parallelism int, ids []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau, verified int, exactClean bool, g pattern.Group, res ClassifierResult) (ClassifierResult, error) {
 	// Line 6: enough verified positives end the audit.
 	if verified >= tau {
 		res.Covered = true
@@ -314,7 +317,11 @@ func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.
 			rest = append(rest, id)
 		}
 	}
-	gc, err := GroupCoverage(o, rest, n, tau-verified, g)
+	var gc GroupResult
+	err := RunTask(ctx, o, RetryPolicy{}, parallelism, func(audit Oracle) (err error) {
+		gc, err = GroupCoverage(audit, rest, n, tau-verified, g)
+		return err
+	})
 	if err != nil {
 		return res, err
 	}

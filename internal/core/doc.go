@@ -27,6 +27,12 @@
 //     lifts plain oracles through a bounded worker pool of
 //     Parallelism goroutines, while TruthOracle and the crowd platform
 //     implement it natively.
+//   - Stack (stack.go) declares an audit's middleware — cache, trust,
+//     journal, budget governor — and its one Build assembles them in
+//     the only legal order, cache → trust → journal → governor → leaf,
+//     lifting a non-batching leaf once at the bottom. Layers talk to
+//     each other only through batches; a middleware's single queries
+//     are one-element rounds.
 //   - The lockstep scheduler (lockstep.go) runs Multiple- and
 //     Intersectional-Coverage: the sample posts as one point-query
 //     round (parallel.go), then the super-group audits, the
@@ -44,7 +50,8 @@
 //     at commit time.
 //   - CachingOracle (cache.go) deduplicates identical queries on a
 //     canonicalized key (sorted id-set plus group members) with
-//     in-flight collapsing; errors are never cached.
+//     in-flight collapsing; errors are never cached. It sits on top of
+//     the stack, so a hit reaches no other layer.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
 //     jittered backoff. The retry wrapper sits below the scheduler, so
 //     a transient failure is absorbed inside its round: over a plain
@@ -98,7 +105,7 @@
 // Because round composition is a pure function of committed answers — never of scheduling or Parallelism — a
 // serialized log of the committed rounds is a complete checkpoint of
 // an audit. The JournalingOracle middleware (journal.go) realizes
-// that: wrapped around the top of an oracle stack it appends one
+// that: it appends one
 // RoundRecord per committed batch round (the requests, the positional
 // answers, how the round ended, and a snapshot of the budget
 // governor's ledger) to a RoundJournal, and in replay mode it answers
@@ -114,16 +121,17 @@
 // spend byte-identical to a run that was never interrupted (the
 // kill/resume conformance matrix in internal/crowd proves this at
 // P in {1, 2, 4, 16} for all three audit algorithms, budgeted and
-// unbudgeted). Journaling composes with the stack order cache ->
-// journal -> governor -> platform: the cache above the journal replays
-// its misses deterministically and re-fills from the recorded answers;
-// a governor below it is snapshot/restored per round.
+// unbudgeted). In the Stack the cache above the journal replays its
+// misses deterministically and re-fills from the recorded answers, and
+// the governor below it is snapshot/restored per round.
 //
 // Cancellation rides the same round boundaries: MultipleOptions.Ctx /
 // ClassifierOptions.Ctx thread a context.Context through the engine,
 // and a cancelled context fails the next round before it reaches the
-// oracle — checked in the lockstep commit path, before each classifier
-// round, in the journaling middleware, and in the retry backoff (which
+// oracle — checked in the lockstep commit path (which one-query
+// Group-Coverage and Base-Coverage audits also run on, as one-task
+// lockstep runs via RunTask), before each classifier round, in the
+// journaling middleware, and in the retry backoff (which
 // selects on the context instead of sleeping through it). A killed job
 // therefore never half-posts a round: every round either committed
 // (and was journaled) or never touched the crowd, which is what makes
@@ -153,9 +161,8 @@
 // The trust middleware (trust.go) defends an audit against workers who
 // answer strategically rather than noisily — the crowd simulator's
 // WorkerStrategy overlays (lazy-yes, random-spam, colluding-liar) model
-// exactly that. A TrustOracle wraps the stack above the journal (full
-// order: cache -> trust -> journal -> governor -> platform) and does
-// three things at round boundaries only:
+// exactly that. A TrustOracle sits above the journal in the Stack and
+// does three things at round boundaries only:
 //
 //   - it appends one gold-standard probe HIT (a singleton set query
 //     whose true answer is known from ground truth, built by

@@ -70,7 +70,7 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 	// One governor spans both phases: the leaf audits and the
 	// resolution re-audits draw from the same budget (MultipleCoverage
 	// reuses an oracle that already is a governor).
-	o, _ = applyBudget(o, opts.Budget)
+	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
 	groups := pattern.SubgroupGroups(s)
 	mres, err := MultipleCoverage(o, ids, n, tau, groups, opts)
 	if err != nil {
@@ -132,7 +132,7 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		seeds = splitSeeds(opts.Rng, len(unresolved))
 	}
 	ctx := opts.context()
-	err = runLockstep(ctx, auditRounds(ctx, o, opts.Retry, seeds), opts.Parallelism, len(unresolved), func(i int, audit Oracle) error {
+	err = runLockstep(ctx, auditRounds(ctx, o, opts.Retry, seeds, opts.Parallelism), opts.Parallelism, len(unresolved), func(i int, audit Oracle) error {
 		r := &unresolved[i]
 		var e error
 		r.audit, e = GroupCoverage(audit, mres.RemainingIDs, n, clampTau(tau-r.labeled), r.group)

@@ -77,29 +77,28 @@ type RoundJournal interface {
 // oracle stack) and silently replaying it would fabricate answers.
 var ErrJournalMismatch = errors.New("core: journal replay mismatch")
 
-// JournalingOracle is the checkpoint/resume middleware. Wrapped around
-// the top of an oracle stack (above the budget governor, below a
-// cache) it records every committed round to the journal, and — when
+// JournalingOracle is the checkpoint/resume middleware. Stack.Build
+// places it above the budget governor and below trust and the cache;
+// it records every committed round to the journal, and — when
 // constructed with the records of a previous run — answers those
 // rounds by replay without touching the inner oracle, restoring the
 // governor's ledger from each record's snapshot, then switches live.
 //
-// Every Oracle and BatchOracle method funnels through the same
-// one-round-per-batch path under one mutex, so rounds serialize and
+// Every batch is one round under one mutex, so rounds serialize and
 // each record hits the journal before the next round can commit;
 // single queries journal as one-element rounds. Replay is resume-safe
 // because every audit's round sequence is deterministic.
 type JournalingOracle struct {
-	inner   Oracle
+	oneQueryRounds
+	inner   BatchOracle
 	journal RoundJournal
 	gov     *BudgetedOracle
 
-	mu         sync.Mutex
-	ctx        context.Context
-	round      int
-	replay     []RoundRecord
-	replayed   int
-	batchWidth int
+	mu       sync.Mutex
+	ctx      context.Context
+	round    int
+	replay   []RoundRecord
+	replayed int
 }
 
 // NewJournalingOracle wraps inner with the journaling middleware.
@@ -107,15 +106,16 @@ type JournalingOracle struct {
 // fresh run). gov, when non-nil, must be the budget governor inside
 // inner's stack: live rounds snapshot its spend into each record and
 // replayed rounds restore it.
-func NewJournalingOracle(inner Oracle, journal RoundJournal, replay []RoundRecord, gov *BudgetedOracle) *JournalingOracle {
-	return &JournalingOracle{
-		inner:      inner,
-		journal:    journal,
-		gov:        gov,
-		ctx:        context.Background(),
-		replay:     replay,
-		batchWidth: 1,
+func NewJournalingOracle(inner BatchOracle, journal RoundJournal, replay []RoundRecord, gov *BudgetedOracle) *JournalingOracle {
+	j := &JournalingOracle{
+		inner:   inner,
+		journal: journal,
+		gov:     gov,
+		ctx:     context.Background(),
+		replay:  replay,
 	}
+	j.oneQueryRounds = oneQueryRounds{j}
+	return j
 }
 
 // SetContext installs the cancellation context checked before every
@@ -144,17 +144,6 @@ func (j *JournalingOracle) Rounds() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.round
-}
-
-// withBatchParallelism widens the pool used to lift a non-batching
-// inner oracle; AsBatchOracle propagates the caller's width here.
-func (j *JournalingOracle) withBatchParallelism(parallelism int) *JournalingOracle {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if parallelism > j.batchWidth {
-		j.batchWidth = parallelism
-	}
-	return j
 }
 
 // encodeRoundErr maps a round's outcome to its journaled kind;
@@ -249,7 +238,7 @@ func (j *JournalingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		j.consumeReplay(rec)
 		return append([]bool(nil), rec.SetAnswers...), decodeRoundErr(rec.ErrKind)
 	}
-	answers, err := AsBatchOracle(j.inner, j.batchWidth).SetQueryBatch(reqs)
+	answers, err := j.inner.SetQueryBatch(reqs)
 	err = j.record(RoundRecord{
 		Sets:       cloneSetRequests(reqs),
 		SetAnswers: append([]bool{}, answers...),
@@ -274,40 +263,12 @@ func (j *JournalingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, err
 		j.consumeReplay(rec)
 		return clonePointAnswers(rec.PointAnswers), decodeRoundErr(rec.ErrKind)
 	}
-	labels, err := AsBatchOracle(j.inner, j.batchWidth).PointQueryBatch(ids)
+	labels, err := j.inner.PointQueryBatch(ids)
 	err = j.record(RoundRecord{
 		Points:       append([]dataset.ObjectID{}, ids...),
 		PointAnswers: clonePointAnswers(labels),
 	}, err)
 	return labels, err
-}
-
-// SetQuery implements Oracle as a one-element round, so sequential
-// audit phases checkpoint too.
-func (j *JournalingOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := j.SetQueryBatch([]SetRequest{{IDs: ids, Group: g}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
-}
-
-// ReverseSetQuery implements Oracle; see SetQuery.
-func (j *JournalingOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := j.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: true}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
-}
-
-// PointQuery implements Oracle; see SetQuery.
-func (j *JournalingOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	labels, err := j.PointQueryBatch([]dataset.ObjectID{id})
-	if err != nil {
-		return nil, err
-	}
-	return labels[0], nil
 }
 
 // cloneSetRequests deep-copies a round's requests into the record, so

@@ -75,7 +75,7 @@ func TestJournalRecordReplay(t *testing.T) {
 		}
 	}
 
-	replayJo := NewJournalingOracle(deadOracle{}, nil, mem.recs, nil)
+	replayJo := NewJournalingOracle(NewBatchAdapter(deadOracle{}, 1), nil, mem.recs, nil)
 	replayed := journalAudit(t, d, replayJo, 7)
 	if replayed != live {
 		t.Errorf("replayed result diverged:\n%s\nvs\n%s", replayed, live)
@@ -126,19 +126,19 @@ func TestJournalReplayMismatch(t *testing.T) {
 		SetAnswers: []bool{true},
 	}}
 
-	jo := NewJournalingOracle(deadOracle{}, nil, recs, nil)
+	jo := NewJournalingOracle(NewBatchAdapter(deadOracle{}, 1), nil, recs, nil)
 	// Different ids than journaled.
 	if _, err := jo.SetQuery([]dataset.ObjectID{5, 6}, g); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("set mismatch err = %v, want ErrJournalMismatch", err)
 	}
 	// Point round against a journaled set round.
-	jo = NewJournalingOracle(deadOracle{}, nil, recs, nil)
+	jo = NewJournalingOracle(NewBatchAdapter(deadOracle{}, 1), nil, recs, nil)
 	if _, err := jo.PointQuery(0); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("kind mismatch err = %v, want ErrJournalMismatch", err)
 	}
 	// Unknown journaled outcome kind.
 	bad := []RoundRecord{{Round: 0, Sets: recs[0].Sets, ErrKind: "martian"}}
-	jo = NewJournalingOracle(deadOracle{}, nil, bad, nil)
+	jo = NewJournalingOracle(NewBatchAdapter(deadOracle{}, 1), nil, bad, nil)
 	if _, err := jo.SetQuery([]dataset.ObjectID{0, 1}, g); !errors.Is(err, ErrJournalMismatch) {
 		t.Errorf("unknown outcome err = %v, want ErrJournalMismatch", err)
 	}
@@ -215,7 +215,7 @@ func TestJournalAppendFailureIsLoud(t *testing.T) {
 // unjournaled; empty batches never reach journal or oracle.
 func TestJournalSkipsHardErrorsAndEmptyRounds(t *testing.T) {
 	mem := &memJournal{}
-	jo := NewJournalingOracle(deadOracle{}, mem, nil, nil)
+	jo := NewJournalingOracle(NewBatchAdapter(deadOracle{}, 1), mem, nil, nil)
 
 	if _, err := jo.PointQuery(3); !errors.Is(err, errDeadOracle) {
 		t.Fatalf("err = %v, want hard error passed through", err)
@@ -245,7 +245,7 @@ func TestJournalTransientOutcomeReplays(t *testing.T) {
 
 	mem := &memJournal{}
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 1} // every call fails
-	jo := NewJournalingOracle(flaky, mem, nil, nil)
+	jo := NewJournalingOracle(NewBatchAdapter(flaky, 1), mem, nil, nil)
 	if _, err := jo.SetQuery(d.IDs()[:2], g); !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
@@ -253,7 +253,7 @@ func TestJournalTransientOutcomeReplays(t *testing.T) {
 		t.Fatalf("journal = %+v, want one transient record", mem.recs)
 	}
 
-	jo2 := NewJournalingOracle(deadOracle{}, nil, mem.recs, nil)
+	jo2 := NewJournalingOracle(NewBatchAdapter(deadOracle{}, 1), nil, mem.recs, nil)
 	if _, err := jo2.SetQueryBatch([]SetRequest{{IDs: d.IDs()[:2], Group: g}}); !errors.Is(err, ErrTransient) {
 		t.Errorf("replayed err = %v, want ErrTransient", err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -290,7 +291,7 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := newLockstep(ctx, AsBatchOracle(o, normalizeParallelism(parallelism)), n)
+	s := newLockstep(ctx, AsBatchOracle(o, parallelism), n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -304,6 +305,20 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 	}
 	wg.Wait()
 	return firstError(errs)
+}
+
+// RunTask runs one sequential audit — fn issues its queries one at a
+// time, like GroupCoverage or BaseCoverage — as a one-task lockstep
+// run: every query is a one-element round committed through o, so a
+// cancelled ctx fails the next round before it reaches the oracle, and
+// a transient failure is retried per policy below the scheduler.
+// parallelism sizes the pool that lifts a plain o.
+func RunTask(ctx context.Context, o Oracle, policy RetryPolicy, parallelism int, fn func(audit Oracle) error) error {
+	if o == nil {
+		return errors.New("core: nil oracle")
+	}
+	o = withRetry(ctx, o, policy, fixedJitterSeed, parallelism)
+	return runLockstep(ctx, o, parallelism, 1, func(_ int, audit Oracle) error { return fn(audit) })
 }
 
 // DelayOracle adds a fixed per-query wall-clock delay in front of an

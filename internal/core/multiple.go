@@ -225,8 +225,10 @@ type MultipleOptions struct {
 	// of aborting the audit. The retry wrapper sits below the
 	// scheduler, so one flaky HIT never fails a whole round: a plain
 	// oracle retries each request on its own, a natively batching one
-	// re-posts only the failed suffix. Backoff jitter draws from Rng
-	// during sampling and from child RNGs seeded from it afterwards.
+	// re-posts only the failed suffix. Backoff jitter never draws from
+	// Rng: the sampling round's comes from a fixed seed, the audit
+	// rounds' from the first child seed, so Rng's stream is the same
+	// with or without retries.
 	Retry RetryPolicy
 	// Budget caps the committed crowd queries of this audit: the engine
 	// wraps the oracle in a BudgetedOracle governor and, when the cap
@@ -294,7 +296,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	if err != nil {
 		return nil, err
 	}
-	o, _ = applyBudget(o, opts.Budget)
+	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
 	ctx := opts.context()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -308,10 +310,9 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 		budget = 0
 	}
 
-	// Sampling round: one batch of point queries. Retry jitter draws
-	// from the parent RNG: the batch is issued before any audit task
-	// starts.
-	sampler := AsBatchOracle(withRetry(ctx, o, opts.Retry, opts.Rng), normalizeParallelism(opts.Parallelism))
+	// Sampling round: one batch of point queries. Its retry jitter
+	// draws from a fixed seed, never from opts.Rng.
+	sampler := AsBatchOracle(withRetry(ctx, o, opts.Retry, fixedJitterSeed, opts.Parallelism), opts.Parallelism)
 	remaining, sampleTasks, err := LabelSamplesBatch(sampler, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
@@ -327,7 +328,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	// transcript, so a caller reusing Rng afterwards sees one stream at
 	// every width, with or without retries. The audit rounds' retry
 	// jitter draws from the first.
-	audits := auditRounds(ctx, o, opts.Retry, splitSeeds(opts.Rng, len(plans)))
+	audits := auditRounds(ctx, o, opts.Retry, splitSeeds(opts.Rng, len(plans)), opts.Parallelism)
 
 	// Round 1: every super-group union audit is one lockstep task,
 	// task index = super-group index. GroupCoverage translates budget

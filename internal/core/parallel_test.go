@@ -188,7 +188,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &nativeBatchCounter{TruthOracle: NewTruthOracle(d)}
-	bo := AsBatchOracle(withRetry(context.Background(), counter, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(1))), 8)
+	bo := AsBatchOracle(withRetry(context.Background(), counter, RetryPolicy{MaxAttempts: 3}, 1, 8), 8)
 	if _, err := bo.PointQueryBatch(d.IDs()[:20]); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 
 	// Over a plain oracle the same wrapper retries per request.
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 5}
-	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, rand.New(rand.NewSource(2))), 8)
+	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, 2, 8), 8)
 	if _, err := bo.PointQueryBatch(d.IDs()[:30]); err != nil {
 		t.Errorf("per-request retry over plain oracle: %v", err)
 	}
@@ -212,7 +212,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	d := binaryDataset(t, []int{0, 1, 0, 1})
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 1} // always fails
-	o := withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(3)))
+	o := withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 3}, 3, 1)
 	if _, err := o.SetQuery(d.IDs(), female(d)); !errors.Is(err, ErrTransient) {
 		t.Errorf("err = %v, want transient after exhausting attempts", err)
 	}

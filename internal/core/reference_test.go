@@ -50,7 +50,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 	if err != nil {
 		return nil, err
 	}
-	o, _ = applyBudget(o, opts.Budget)
+	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
 	res := &MultipleResult{
 		Results: make([]MultipleGroupResult, len(groups)),
 		Labeled: NewLabeledSet(),
@@ -63,7 +63,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seqOracle := withRetry(ctx, o, opts.Retry, opts.Rng)
+	seqOracle := withRetry(ctx, o, opts.Retry, fixedJitterSeed, opts.Parallelism)
 	remaining, sampleTasks, err := labelSamples(seqOracle, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
@@ -110,8 +110,8 @@ func classifierCoverageReference(o Oracle, ids, predicted []dataset.ObjectID, n,
 		return ClassifierCoverage(o, ids, predicted, n, tau, g, opts)
 	}
 	res := ClassifierResult{Group: g, Strategy: StrategyNone}
-	o, _ = applyBudget(o, opts.Budget)
-	o = withRetry(opts.context(), o, opts.Retry, opts.Rng)
+	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
+	o = withRetry(opts.context(), o, opts.Retry, fixedJitterSeed, opts.Parallelism)
 
 	// Line 2-3: estimate precision on a sample of G.
 	sampleSize := sampleBudget(opts.SampleFraction, len(predicted))
@@ -177,7 +177,7 @@ func classifierCoverageReference(o Oracle, ids, predicted []dataset.ObjectID, n,
 		}
 	}
 
-	return classifierFinish(o, ids, inPredicted, n, tau, verified, exactClean, g, res)
+	return classifierFinish(opts.context(), o, opts.Parallelism, ids, inPredicted, n, tau, verified, exactClean, g, res)
 }
 
 // partitionClean is the Partition function of Algorithm 5 one query at

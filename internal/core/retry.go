@@ -21,7 +21,9 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// Backoff scales the wait between attempts: before retry k the
 	// engine sleeps Backoff * (0.5 + jitter) where jitter in [0, 1) is
-	// drawn from the audit's child RNG. Zero sleeps not at all (tests).
+	// drawn from a private RNG (seeded from an audit phase's child seed
+	// or a fixed seed, never drawn from the audit's Rng). Zero sleeps
+	// not at all (tests).
 	Backoff time.Duration
 }
 
@@ -40,28 +42,43 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 // double-charges (and preserves the inner's request-order determinism,
 // since the committed prefix plus re-posted suffix replays the same
 // request sequence). Over a plain oracle each request retries
-// individually across the propagated pool width.
+// individually across a pool of the audit's width.
 type retryOracle struct {
 	inner  Oracle
 	policy RetryPolicy
 	ctx    context.Context
+	width  int
 
-	mu         sync.Mutex // guards rng and batchWidth
-	rng        *rand.Rand
-	batchWidth int
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
+
+// fixedJitterSeed seeds the retry jitter of audit phases that have no
+// child seed of their own (the sampling round, a classifier audit, a
+// single-group audit). Jitter only scales sleeps, so a fixed seed
+// costs nothing, and it keeps the audit's Rng stream the same with or
+// without retries.
+const fixedJitterSeed = 1
 
 // withRetry wraps o unless the policy is disabled. The context bounds
 // the backoff waits: a cancelled ctx aborts a sleeping retry
 // immediately with ctx.Err() instead of posting another attempt.
-func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand) Oracle {
+// Jitter draws from a private RNG seeded with seed; parallelism sizes
+// the pool that retries a plain oracle's requests one by one.
+func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, seed int64, parallelism int) Oracle {
 	if !policy.Enabled() {
 		return o
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng, batchWidth: 1}
+	return &retryOracle{
+		inner:  o,
+		policy: policy,
+		ctx:    ctx,
+		width:  normalizeParallelism(parallelism),
+		rng:    rand.New(rand.NewSource(seed)),
+	}
 }
 
 // auditRounds returns the oracle an audit phase's lockstep rounds
@@ -70,29 +87,11 @@ func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand
 // inside its round instead of failing every task parked in it. The
 // backoff jitter draws from a child RNG seeded with the phase's first
 // child seed, never from the audit's parent Rng.
-func auditRounds(ctx context.Context, o Oracle, policy RetryPolicy, seeds []int64) Oracle {
-	if !policy.Enabled() || len(seeds) == 0 {
+func auditRounds(ctx context.Context, o Oracle, policy RetryPolicy, seeds []int64, parallelism int) Oracle {
+	if len(seeds) == 0 {
 		return o
 	}
-	return withRetry(ctx, o, policy, rand.New(rand.NewSource(seeds[0])))
-}
-
-// withBatchParallelism widens the per-request retry pool (it never
-// narrows); AsBatchOracle propagates the caller's width here.
-func (r *retryOracle) withBatchParallelism(parallelism int) *retryOracle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if parallelism > r.batchWidth {
-		r.batchWidth = parallelism
-	}
-	return r
-}
-
-// width returns the current per-request retry pool width.
-func (r *retryOracle) width() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.batchWidth
+	return withRetry(ctx, o, policy, seeds[0], parallelism)
 }
 
 // do runs fn up to MaxAttempts times, backing off with jitter between
@@ -126,89 +125,72 @@ func (r *retryOracle) do(fn func() error) error {
 	return err
 }
 
-// SetQuery implements Oracle.
-func (r *retryOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	var ans bool
-	err := r.do(func() error {
-		var e error
-		ans, e = r.inner.SetQuery(ids, g)
+// retryOne runs one single query under the policy.
+func retryOne[T any](r *retryOracle, query func() (T, error)) (T, error) {
+	var v T
+	err := r.do(func() (e error) {
+		v, e = query()
 		return e
 	})
-	return ans, err
+	return v, err
+}
+
+// SetQuery implements Oracle.
+func (r *retryOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return retryOne(r, func() (bool, error) { return r.inner.SetQuery(ids, g) })
 }
 
 // ReverseSetQuery implements Oracle.
 func (r *retryOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	var ans bool
-	err := r.do(func() error {
-		var e error
-		ans, e = r.inner.ReverseSetQuery(ids, g)
-		return e
-	})
-	return ans, err
+	return retryOne(r, func() (bool, error) { return r.inner.ReverseSetQuery(ids, g) })
 }
 
 // PointQuery implements Oracle.
 func (r *retryOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	var labels []int
+	return retryOne(r, func() ([]int, error) { return r.inner.PointQuery(id) })
+}
+
+// retrySuffix retries one native round of n requests; suffix(from)
+// posts requests [from, n). Each attempt re-posts only the suffix the
+// previous attempts left unanswered: a partial prefix the inner batch
+// committed (and a budget governor charged) splices into the
+// accumulated answers instead of being posted — and paid — again.
+func retrySuffix[T any](r *retryOracle, n int, suffix func(from int) ([]T, error)) ([]T, error) {
+	var answers []T
 	err := r.do(func() error {
-		var e error
-		labels, e = r.inner.PointQuery(id)
+		part, e := suffix(len(answers))
+		if rest := n - len(answers); len(part) > rest {
+			part = part[:rest]
+		}
+		answers = append(answers, part...)
+		if e == nil && len(answers) < n {
+			// A short answer slice without an error breaks the
+			// BatchOracle contract; surface it rather than retry.
+			return errShortBatch(len(answers), n)
+		}
 		return e
 	})
-	return labels, err
+	if err != nil && len(answers) == 0 {
+		return nil, err
+	}
+	return answers, err
 }
 
 // SetQueryBatch implements BatchOracle; see the type comment for the
-// native-vs-lifted retry semantics. Each attempt re-posts only the
-// suffix the previous attempts left unanswered: a partial prefix the
-// inner batch committed (and a budget governor charged) splices into
-// the accumulated answers instead of being posted — and paid — again.
+// native-vs-lifted retry semantics.
 func (r *retryOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	if bo, ok := r.inner.(BatchOracle); ok {
-		var answers []bool
-		err := r.do(func() error {
-			part, e := bo.SetQueryBatch(reqs[len(answers):])
-			if rest := len(reqs) - len(answers); len(part) > rest {
-				part = part[:rest]
-			}
-			answers = append(answers, part...)
-			if e == nil && len(answers) < len(reqs) {
-				// A short answer slice without an error breaks the
-				// BatchOracle contract; surface it rather than retry.
-				return errShortBatch(len(answers), len(reqs))
-			}
-			return e
-		})
-		if err != nil && len(answers) == 0 {
-			return nil, err
-		}
-		return answers, err
+		return retrySuffix(r, len(reqs), func(from int) ([]bool, error) { return bo.SetQueryBatch(reqs[from:]) })
 	}
-	return NewBatchAdapter(r, r.width()).SetQueryBatch(reqs)
+	return NewBatchAdapter(r, r.width).SetQueryBatch(reqs)
 }
 
 // PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (r *retryOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	if bo, ok := r.inner.(BatchOracle); ok {
-		var labels [][]int
-		err := r.do(func() error {
-			part, e := bo.PointQueryBatch(ids[len(labels):])
-			if rest := len(ids) - len(labels); len(part) > rest {
-				part = part[:rest]
-			}
-			labels = append(labels, part...)
-			if e == nil && len(labels) < len(ids) {
-				return errShortBatch(len(labels), len(ids))
-			}
-			return e
-		})
-		if err != nil && len(labels) == 0 {
-			return nil, err
-		}
-		return labels, err
+		return retrySuffix(r, len(ids), func(from int) ([][]int, error) { return bo.PointQueryBatch(ids[from:]) })
 	}
-	return NewBatchAdapter(r, r.width()).PointQueryBatch(ids)
+	return NewBatchAdapter(r, r.width).PointQueryBatch(ids)
 }
 
 // errShortBatch reports a batch that returned fewer answers than

@@ -1,0 +1,193 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"imagecvg/internal/dataset"
+	"imagecvg/internal/pattern"
+)
+
+// TestStackBuildOrder: Build assembles cache → trust → journal →
+// governor → leaf, hands the governor to the journal, lifts a plain
+// leaf once at the bottom, and returns a layer-free stack's leaf as is.
+func TestStackBuildOrder(t *testing.T) {
+	d := binaryDataset(t, []int{0, 1, 1, 0, 1, 0, 0, 1})
+	truth := NewTruthOracle(d)
+	leaf := plainOracle{truth}
+
+	l, err := Stack{}.Build(leaf)
+	if err != nil || l.Top != Oracle(leaf) || l.Cache != nil || l.Budget != nil {
+		t.Fatalf("empty stack: %+v, %v; want the leaf as given", l, err)
+	}
+
+	mem := &memJournal{}
+	l, err = Stack{
+		Cache:       true,
+		Trust:       &TrustConfig{},
+		Journal:     mem,
+		Budget:      &Budget{MaxHITs: 3},
+		Parallelism: 4,
+	}.Build(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Top != Oracle(l.Cache) || l.Cache.inner != BatchOracle(l.Trust) ||
+		l.Trust.inner != BatchOracle(l.Journal) || l.Journal.inner != BatchOracle(l.Budget) ||
+		l.Journal.gov != l.Budget {
+		t.Fatalf("layers out of order: %+v", l)
+	}
+	lifted, ok := l.Budget.inner.(*batchAdapter)
+	if !ok || lifted.Oracle != Oracle(leaf) || lifted.parallelism != 4 {
+		t.Fatalf("leaf not lifted once at width 4: %#v", l.Budget.inner)
+	}
+
+	// A native leaf is used as is, and every single query is a
+	// one-element round through every layer.
+	l, err = Stack{Cache: true, Journal: mem, Budget: &Budget{MaxHITs: 3}}.Build(truth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Budget.inner != BatchOracle(truth) {
+		t.Fatalf("native leaf was wrapped: %#v", l.Budget.inner)
+	}
+	g := female(d)
+	for i := 0; i < 2; i++ { // the repeat is a cache hit
+		if ans, err := l.Top.SetQuery(d.IDs()[:2], g); err != nil || !ans {
+			t.Fatalf("SetQuery = %v, %v", ans, err)
+		}
+	}
+	if _, err := l.Top.PointQuery(d.IDs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Budget.Spent().HITs(); got != 2 {
+		t.Errorf("governor charged %d HITs, want 2 (cache hits are free)", got)
+	}
+	if len(mem.recs) != 2 || len(mem.recs[0].Sets) != 1 || len(mem.recs[1].Points) != 1 {
+		t.Errorf("journal recorded %+v, want two one-element rounds", mem.recs)
+	}
+	if _, err := l.Top.ReverseSetQuery(d.IDs()[:1], g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Top.PointQuery(d.IDs()[1]); !errors.Is(err, ErrBudgetExhausted) {
+		t.Errorf("fourth HIT past MaxHITs 3: err = %v, want ErrBudgetExhausted", err)
+	}
+
+	if _, err := (Stack{Trust: &TrustConfig{Policy: TrustPolicy{AdversaryErr: 2}}}).Build(truth); err == nil {
+		t.Error("invalid trust policy built")
+	}
+	if _, err := (Stack{Cache: true}).Build(nil); err == nil {
+		t.Error("nil leaf under a cache built")
+	}
+}
+
+// cancelAfter is a plain leaf that cancels its context once it has
+// answered n HITs, counting every HIT that reaches it.
+type cancelAfter struct {
+	inner  Oracle
+	n      int
+	cancel context.CancelFunc
+
+	mu   sync.Mutex
+	hits int
+}
+
+func (c *cancelAfter) tick() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.hits++; c.hits == c.n {
+		c.cancel()
+	}
+}
+
+func (c *cancelAfter) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	c.tick()
+	return c.inner.SetQuery(ids, g)
+}
+
+func (c *cancelAfter) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	c.tick()
+	return c.inner.ReverseSetQuery(ids, g)
+}
+
+func (c *cancelAfter) PointQuery(id dataset.ObjectID) ([]int, error) {
+	c.tick()
+	return c.inner.PointQuery(id)
+}
+
+// TestClassifierResidualHonorsCancellation: the classifier's residual
+// Group-Coverage hunts run as one-task lockstep audits, so a context
+// cancelled mid-audit stops the next round instead of auditing on.
+func TestClassifierResidualHonorsCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d, err := dataset.BinaryWithMinority(3000, 60, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := female(d)
+	for _, predicted := range [][]dataset.ObjectID{nil, d.PredictedSet(g, 3, 40)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		leaf := &cancelAfter{inner: NewTruthOracle(d), n: 5, cancel: cancel}
+		if len(predicted) > 0 {
+			// Cancel inside the residual hunt, after the sample and the
+			// cleanup rounds.
+			leaf.n = 60
+		}
+		_, err := ClassifierCoverage(leaf, d.IDs(), predicted, 10, 50, g, ClassifierOptions{
+			Rng: rand.New(rand.NewSource(1)),
+			Ctx: ctx,
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%d predictions: err = %v, want context.Canceled", len(predicted), err)
+		}
+		if leaf.hits != leaf.n {
+			t.Errorf("%d predictions: %d HITs posted, want %d (none after the cancel)", len(predicted), leaf.hits, leaf.n)
+		}
+	}
+}
+
+// TestRetryJitterLeavesRngStream: retry backoff jitter never draws from
+// the caller's Rng, so after an audit the Rng is in the same state with
+// or without transient failures.
+func TestRetryJitterLeavesRngStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	d, err := dataset.BinaryWithMinority(2000, 40, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := female(d)
+	groups := pattern.GroupsForAttribute(d.Schema(), 0)
+	predicted := d.PredictedSet(g, 30, 20)
+	retry := RetryPolicy{MaxAttempts: 5}
+	audits := map[string]func(o Oracle, rng *rand.Rand) error{
+		"MultipleCoverage": func(o Oracle, rng *rand.Rand) error {
+			_, err := MultipleCoverage(o, d.IDs(), 10, 25, groups, MultipleOptions{Rng: rng, Retry: retry, Parallelism: 4})
+			return err
+		},
+		"ClassifierCoverage": func(o Oracle, rng *rand.Rand) error {
+			_, err := ClassifierCoverage(o, d.IDs(), predicted, 10, 25, g, ClassifierOptions{Rng: rng, Retry: retry, Parallelism: 4})
+			return err
+		},
+	}
+	for name, audit := range audits {
+		next := func(o Oracle) int64 {
+			rng := rand.New(rand.NewSource(3))
+			if err := audit(o, rng); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return rng.Int63()
+		}
+		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 7}
+		clean, failing := next(NewTruthOracle(d)), next(flaky)
+		if flaky.calls < 7 {
+			t.Fatalf("%s: no transient failure injected (%d calls)", name, flaky.calls)
+		}
+		if clean != failing {
+			t.Errorf("%s: next Rng draw %d over a clean oracle, %d with retried failures", name, clean, failing)
+		}
+	}
+}

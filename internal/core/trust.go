@@ -235,9 +235,9 @@ type workerTally struct {
 	probes, probeFails, answers, contradictions int
 }
 
-// TrustOracle is the adversarial-robustness middleware. Wrapped above
-// the journal (stack order cache -> trust -> journal -> governor ->
-// platform) it appends one gold probe to every ProbeEvery-th committed
+// TrustOracle is the adversarial-robustness middleware. Stack.Build
+// places it above the journal (cache -> trust -> journal -> governor ->
+// leaf); it appends one gold probe to every ProbeEvery-th committed
 // set round, consumes the answer feed's delta after each round to
 // score every worker's raw answers — against the gold answer for probe
 // HITs, against the round's aggregated consensus otherwise — and
@@ -248,14 +248,14 @@ type workerTally struct {
 // identical probe-augmented requests), and never consults the feed —
 // feed starvation degrades scoring, never determinism.
 type TrustOracle struct {
-	inner  Oracle
+	oneQueryRounds
+	inner  BatchOracle
 	policy TrustPolicy
 	probes []GoldProbe
 	feed   AnswerFeed
 	screen WorkerScreener
 
 	mu           sync.Mutex
-	batchWidth   int
 	setRounds    int
 	probeCursor  int
 	feedCursor   int
@@ -264,46 +264,53 @@ type TrustOracle struct {
 	excluded     map[int]bool
 }
 
+// Validate reports an invalid policy or probe battery — the errors
+// NewTrustOracle would return — without building the middleware.
+func (c TrustConfig) Validate() error {
+	_, err := c.policy()
+	return err
+}
+
+// policy normalizes (zero fields take defaults) and validates the
+// policy, and checks the probe battery.
+func (c TrustConfig) policy() (TrustPolicy, error) {
+	pol, err := c.Policy.normalized()
+	if err != nil {
+		return pol, err
+	}
+	for i, pr := range c.Probes {
+		if len(pr.Req.IDs) == 0 {
+			return pol, fmt.Errorf("core: gold probe %d has no objects", i)
+		}
+	}
+	return pol, nil
+}
+
 // NewTrustOracle wraps inner with the trust middleware. The policy is
 // normalized (zero fields take defaults) and validated.
-func NewTrustOracle(inner Oracle, cfg TrustConfig) (*TrustOracle, error) {
+func NewTrustOracle(inner BatchOracle, cfg TrustConfig) (*TrustOracle, error) {
 	if inner == nil {
 		return nil, errors.New("core: trust oracle needs an inner oracle")
 	}
-	pol, err := cfg.Policy.normalized()
+	pol, err := cfg.policy()
 	if err != nil {
 		return nil, err
 	}
-	for i, pr := range cfg.Probes {
-		if len(pr.Req.IDs) == 0 {
-			return nil, fmt.Errorf("core: gold probe %d has no objects", i)
-		}
+	t := &TrustOracle{
+		inner:    inner,
+		policy:   pol,
+		probes:   append([]GoldProbe(nil), cfg.Probes...),
+		feed:     cfg.Feed,
+		screen:   cfg.Screen,
+		stats:    map[int]*workerTally{},
+		excluded: map[int]bool{},
 	}
-	return &TrustOracle{
-		inner:      inner,
-		policy:     pol,
-		probes:     append([]GoldProbe(nil), cfg.Probes...),
-		feed:       cfg.Feed,
-		screen:     cfg.Screen,
-		batchWidth: 1,
-		stats:      map[int]*workerTally{},
-		excluded:   map[int]bool{},
-	}, nil
+	t.oneQueryRounds = oneQueryRounds{t}
+	return t, nil
 }
 
 // Policy returns the normalized policy in effect.
 func (t *TrustOracle) Policy() TrustPolicy { return t.policy }
-
-// withBatchParallelism widens the pool used to lift a non-batching
-// inner oracle; AsBatchOracle propagates the caller's width here.
-func (t *TrustOracle) withBatchParallelism(parallelism int) *TrustOracle {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if parallelism > t.batchWidth {
-		t.batchWidth = parallelism
-	}
-	return t
-}
 
 // Report snapshots the middleware's state: every scored worker (sorted
 // by ID), probes issued, and the distrusted-worker count.
@@ -359,7 +366,7 @@ func (t *TrustOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		combined = append(combined, reqs...)
 		combined = append(combined, pr.Req)
 	}
-	answers, err := AsBatchOracle(t.inner, t.batchWidth).SetQueryBatch(combined)
+	answers, err := t.inner.SetQueryBatch(combined)
 	t.observe(reqs, answers, probe)
 	t.applyScreening()
 	if probe == nil {
@@ -384,35 +391,7 @@ func (t *TrustOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return AsBatchOracle(t.inner, t.batchWidth).PointQueryBatch(ids)
-}
-
-// SetQuery implements Oracle as a one-element round, so sequential
-// audit phases stay on the probe schedule too.
-func (t *TrustOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := t.SetQueryBatch([]SetRequest{{IDs: ids, Group: g}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
-}
-
-// ReverseSetQuery implements Oracle; see SetQuery.
-func (t *TrustOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := t.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: true}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
-}
-
-// PointQuery implements Oracle by pass-through; see PointQueryBatch.
-func (t *TrustOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	labels, err := t.PointQueryBatch([]dataset.ObjectID{id})
-	if err != nil {
-		return nil, err
-	}
-	return labels[0], nil
+	return t.inner.PointQueryBatch(ids)
 }
 
 // observe consumes the feed delta for one committed set round: the

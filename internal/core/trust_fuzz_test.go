@@ -108,16 +108,16 @@ func FuzzTrustVerdict(f *testing.F) {
 		feed := &fuzzFeed{}
 		run := func(width int) []int {
 			rec := &probeRecorder{inner: NewTruthOracle(d)}
-			tr, err := NewTrustOracle(rec, TrustConfig{
+			l, err := Stack{Trust: &TrustConfig{
 				Policy: TrustPolicy{ProbeEvery: probeEvery},
 				Probes: probes,
 				Feed:   feed,
 				Screen: &recordingScreener{},
-			})
+			}, Parallelism: width}.Build(rec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr = tr.withBatchParallelism(width)
+			tr := l.Trust
 			ids := d.IDs()
 			for r := 0; r < rounds; r++ {
 				n := abs(next())%3 + 1

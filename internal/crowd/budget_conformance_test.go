@@ -67,7 +67,12 @@ func runBudgetedCell(t *testing.T, inst budgetedInstance, parallelism int) (stri
 	d := dataset.MustFromCounts(inst.schema, inst.counts, rand.New(rand.NewSource(inst.platformSeed+1)))
 	log := &ResponseLog{}
 	p := platformFor(t, inst.conformanceInstance, d, log)
-	gov := core.NewBudgetedOracle(p, budgetFor(inst, p))
+	b := budgetFor(inst, p)
+	layers, err := core.Stack{Budget: &b}.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := layers.Budget
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 		Parallelism: parallelism,
@@ -168,7 +173,11 @@ func TestBudgetedLedgerNeverExceedsCap(t *testing.T) {
 		d := dataset.MustFromCounts(inst.schema, inst.counts, rand.New(rand.NewSource(inst.platformSeed+1)))
 		p := platformFor(t, inst.conformanceInstance, d, &ResponseLog{})
 		budget := budgetFor(inst, p)
-		gov := core.NewBudgetedOracle(p, budget)
+		layers, err := core.Stack{Budget: &budget}.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gov := layers.Budget
 		groups := pattern.GroupsForAttribute(inst.schema, 0)
 		if _, err := core.MultipleCoverage(gov, d.IDs(), inst.setSize, inst.tau, groups, core.MultipleOptions{
 			Rng: rand.New(rand.NewSource(inst.auditSeed)),

@@ -80,13 +80,16 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 	budgeted bool) (string, *core.JournalingOracle, error) {
 	t.Helper()
 
-	var oracle core.Oracle = p
-	var gov *core.BudgetedOracle
+	stack := core.Stack{Journal: jnl, Replay: replay, Ctx: ctx}
 	if budgeted {
-		gov = core.NewBudgetedOracle(p, journalBudget(inst))
-		oracle = gov
+		b := journalBudget(inst)
+		stack.Budget = &b
 	}
-	jo := core.NewJournalingOracle(oracle, jnl, replay, gov).SetContext(ctx)
+	layers, err := stack.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jo, gov := layers.Journal, layers.Budget
 
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
@@ -94,7 +97,6 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 		Ctx:         ctx,
 	}
 	var audit string
-	var err error
 	switch inst.kind {
 	case "intersectional":
 		var res *core.IntersectionalResult
@@ -260,15 +262,16 @@ func runTrustJournalCell(t *testing.T, ai adversarialInstance, parallelism int,
 	jnl core.RoundJournal, replay []core.RoundRecord, ctx context.Context) (string, *core.JournalingOracle, error) {
 	t.Helper()
 
-	jo := core.NewJournalingOracle(p, jnl, replay, nil).SetContext(ctx)
-	tr, err := core.NewTrustOracle(jo, core.TrustConfig{
-		Probes: trustProbesFor(d, ai),
-		Feed:   log,
-		Screen: p,
-	})
+	layers, err := core.Stack{
+		Journal: jnl,
+		Replay:  replay,
+		Trust:   &core.TrustConfig{Probes: trustProbesFor(d, ai), Feed: log, Screen: p},
+		Ctx:     ctx,
+	}.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jo, tr := layers.Journal, layers.Trust
 
 	groups := pattern.GroupsForAttribute(ai.schema, 0)
 	res, err := core.MultipleCoverage(tr, d.IDs(), ai.setSize, ai.tau, groups, core.MultipleOptions{

@@ -77,20 +77,15 @@ func runAdversarialCell(t *testing.T, ai adversarialInstance, parallelism int) s
 	log := &ResponseLog{}
 	p := adversarialPlatformFor(t, ai, d, log)
 
-	var oracle core.Oracle = p
-	var tr *core.TrustOracle
+	var stack core.Stack
 	if ai.trust {
-		var err error
-		tr, err = core.NewTrustOracle(p, core.TrustConfig{
-			Probes: trustProbesFor(d, ai),
-			Feed:   log,
-			Screen: p,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle = tr
+		stack.Trust = &core.TrustConfig{Probes: trustProbesFor(d, ai), Feed: log, Screen: p}
 	}
+	layers, err := stack.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, tr := layers.Top, layers.Trust
 
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(ai.auditSeed)),
@@ -289,7 +284,7 @@ func TestTrustScreeningExcludesOnlyAdversaries(t *testing.T) {
 		d := dataset.MustFromCounts(ai.schema, ai.counts, rand.New(rand.NewSource(ai.platformSeed+1)))
 		log := &ResponseLog{}
 		p := adversarialPlatformFor(t, ai, d, log)
-		tr, err := core.NewTrustOracle(p, core.TrustConfig{
+		layers, err := core.Stack{Trust: &core.TrustConfig{
 			Policy: core.TrustPolicy{
 				ProbeEvery:          1, // maximize gold evidence
 				ContradictionWeight: 0.01,
@@ -298,10 +293,11 @@ func TestTrustScreeningExcludesOnlyAdversaries(t *testing.T) {
 			Probes: trustProbesFor(d, ai),
 			Feed:   log,
 			Screen: p,
-		})
+		}}.Build(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr := layers.Trust
 		groups := pattern.GroupsForAttribute(ai.schema, 0)
 		if _, err := core.MultipleCoverage(tr, d.IDs(), ai.setSize, ai.tau, groups, core.MultipleOptions{
 			Rng: rand.New(rand.NewSource(ai.auditSeed)),

@@ -16,10 +16,11 @@ type Factory func(t Trial) (core.Oracle, error)
 // sweeping an engine knob over the same dataset — are paid for once.
 // This is only sound when the trials share the dataset behind inner;
 // trials that regenerate their data must build fresh oracles instead.
-// The cache is safe for concurrent trials when inner is.
+// The cache is safe for concurrent trials when inner is. A nil inner
+// fails every trial.
 func SharedCache(inner core.Oracle) (Factory, *core.CachingOracle) {
-	cache := core.NewCachingOracle(inner)
-	return func(Trial) (core.Oracle, error) { return cache, nil }, cache
+	l, err := core.Stack{Cache: true}.Build(inner)
+	return func(Trial) (core.Oracle, error) { return l.Top, err }, l.Cache
 }
 
 // PerTrial adapts a per-trial oracle builder into a Factory, for

@@ -68,17 +68,22 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobConfig reads one POST /jobs body: a single JobConfig with
+// no unknown fields. It reads to the end, so a size cap on body covers
+// padding after the value too.
+func decodeJobConfig(body io.Reader) (JobConfig, error) {
 	var cfg JobConfig
-	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&cfg)
 	if err == nil {
-		// Read to the end, so the cap covers padding after the value
-		// too.
 		_, err = io.Copy(io.Discard, body)
 	}
+	return cfg, err
+}
+
+func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	cfg, err := decodeJobConfig(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):

@@ -126,6 +126,19 @@ type JobConfig struct {
 	HITDelayMicros int64 `json:"hit_delay_micros,omitempty"`
 }
 
+// Admission bounds: the largest sizes a submitted job may ask for, so a
+// careless or hostile client cannot make the service generate a huge
+// dataset, spawn an unbounded pool, simulate an unbounded crowd or
+// park a worker on one HIT. Each is far above what an audit needs.
+const (
+	maxDatasetN       = 1_000_000 // generated dataset objects
+	maxParallelism    = 256       // engine pool width
+	maxAssignments    = 25        // worker answers per crowd HIT
+	maxPoolSize       = 10_000    // simulated crowd workers
+	maxSetSize        = 10_000    // objects per set query
+	maxHITDelayMicros = 1_000_000 // one second per truth-oracle HIT
+)
+
 // badConfig builds a validation error wrapping ErrInvalidConfig, so
 // the HTTP layer maps it to 400 Bad Request.
 func badConfig(format string, args ...any) error {
@@ -143,8 +156,8 @@ func (c *JobConfig) normalize() error {
 		return badConfig("unknown mode %q", c.Mode)
 	}
 	if c.Dataset.Path == "" {
-		if c.Dataset.N <= 0 {
-			return badConfig("dataset needs a path or a positive n")
+		if c.Dataset.N <= 0 || c.Dataset.N > maxDatasetN {
+			return badConfig("dataset needs a path or an n in [1, %d], got %d", maxDatasetN, c.Dataset.N)
 		}
 		if c.Dataset.Minority < 0 || c.Dataset.Minority > c.Dataset.N {
 			return badConfig("dataset minority %d outside [0, %d]", c.Dataset.Minority, c.Dataset.N)
@@ -159,8 +172,8 @@ func (c *JobConfig) normalize() error {
 	if c.SetSize == 0 {
 		c.SetSize = 50
 	}
-	if c.SetSize < 0 {
-		return badConfig("set size must be positive, got %d", c.SetSize)
+	if c.SetSize < 0 || c.SetSize > maxSetSize {
+		return badConfig("set size must be in [1, %d], got %d", maxSetSize, c.SetSize)
 	}
 	if c.Attr < 0 || c.Value < 0 {
 		return badConfig("attr/value must be non-negative")
@@ -168,8 +181,8 @@ func (c *JobConfig) normalize() error {
 	if c.Mode == ModeClassifier && c.Attr == 0 && c.Value == 0 {
 		c.Value = 1 // minority group of the generated gender datasets
 	}
-	if c.Parallelism < 0 {
-		return badConfig("parallelism must be non-negative, got %d", c.Parallelism)
+	if c.Parallelism < 0 || c.Parallelism > maxParallelism {
+		return badConfig("parallelism must be in [0, %d], got %d", maxParallelism, c.Parallelism)
 	}
 	if c.Oracle == "" {
 		c.Oracle = "truth"
@@ -177,8 +190,11 @@ func (c *JobConfig) normalize() error {
 	if c.Oracle != "truth" && c.Oracle != "crowd" {
 		return badConfig("unknown oracle %q", c.Oracle)
 	}
-	if c.Assignments < 0 || c.PoolSize < 0 {
-		return badConfig("assignments/pool size must be non-negative")
+	if c.Assignments < 0 || c.Assignments > maxAssignments {
+		return badConfig("assignments must be in [0, %d], got %d", maxAssignments, c.Assignments)
+	}
+	if c.PoolSize < 0 || c.PoolSize > maxPoolSize {
+		return badConfig("pool size must be in [0, %d], got %d", maxPoolSize, c.PoolSize)
 	}
 	if c.MaxHITs < 0 || c.MaxSpend < 0 {
 		return badConfig("budget caps must be non-negative")
@@ -186,8 +202,8 @@ func (c *JobConfig) normalize() error {
 	if c.ClassifierTP < 0 || c.ClassifierFP < 0 {
 		return badConfig("classifier tp/fp must be non-negative")
 	}
-	if c.HITDelayMicros < 0 {
-		return badConfig("hit delay must be non-negative")
+	if c.HITDelayMicros < 0 || c.HITDelayMicros > maxHITDelayMicros {
+		return badConfig("hit delay must be in [0, %d] microseconds, got %d", maxHITDelayMicros, c.HITDelayMicros)
 	}
 	return nil
 }

@@ -17,12 +17,12 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// runAudit executes (or resumes) one job's audit. The oracle stack
-// mirrors the root Auditor's: platform/truth → budget governor →
-// journaling middleware, on the lockstep scheduler every audit runs
-// on — which is what makes a job's verdicts, task tallies and spend
-// byte-identical to the one-shot run of the same configuration, at
-// every parallelism level and across a kill/restart.
+// runAudit executes (or resumes) one job's audit. The oracle stack is
+// the root Auditor's, built by the same core.Stack: platform/truth →
+// budget governor → journaling middleware, on the lockstep scheduler
+// every audit runs on — which is what makes a job's verdicts, task
+// tallies and spend byte-identical to the one-shot run of the same
+// configuration, at every parallelism level and across a kill/restart.
 func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err error) {
 	cfg := j.cfg
 	ds, err := buildDataset(cfg.Dataset)
@@ -84,13 +84,20 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 		oracle = o
 	}
 
-	var gov *core.BudgetedOracle
-	if b := j.caps.budget(costFn); b.Active() {
-		gov = core.NewBudgetedOracle(oracle, b)
-		oracle = gov
+	stack := core.Stack{
+		Journal:     &notifyJournal{eng: e, job: j, inner: jnl},
+		Replay:      replay,
+		Parallelism: cfg.Parallelism,
+		Ctx:         ctx,
 	}
-	notify := &notifyJournal{eng: e, job: j, inner: jnl}
-	jo := core.NewJournalingOracle(oracle, notify, replay, gov).SetContext(ctx)
+	if b := j.caps.budget(costFn); b.Active() {
+		stack.Budget = &b
+	}
+	layers, err := stack.Build(oracle)
+	if err != nil {
+		return nil, err
+	}
+	jo, gov := layers.Journal, layers.Budget
 	j.mu.Lock()
 	j.rounds, j.replayed = len(replay), 0
 	j.mu.Unlock()

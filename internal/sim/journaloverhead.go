@@ -144,8 +144,11 @@ func RunJournalOverhead(p JournalOverheadParams, o Options) (*JournalOverheadRes
 				return journalTrialValue{}, err
 			}
 			defer jnl.Close()
-			jo = core.NewJournalingOracle(oracle, jnl, nil, nil).SetContext(t.Ctx)
-			oracle = jo
+			l, err := core.Stack{Journal: jnl, Parallelism: p.Parallelism, Ctx: t.Ctx}.Build(oracle)
+			if err != nil {
+				return journalTrialValue{}, err
+			}
+			oracle, jo = l.Top, l.Journal
 		}
 		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
 			core.MultipleOptions{Rng: t.Rng, Parallelism: p.Parallelism, Ctx: t.Ctx})

@@ -184,19 +184,15 @@ func RunRobustnessFrontier(p RobustnessFrontierParams, o Options) (*RobustnessFr
 			return rfObservation{}, err
 		}
 
-		var oracle core.Oracle = platform
-		var tr *core.TrustOracle
+		var stack core.Stack
 		if c.trust {
-			tr, err = core.NewTrustOracle(platform, core.TrustConfig{
-				Probes: probes,
-				Feed:   log,
-				Screen: platform,
-			})
-			if err != nil {
-				return rfObservation{}, err
-			}
-			oracle = tr
+			stack.Trust = &core.TrustConfig{Probes: probes, Feed: log, Screen: platform}
 		}
+		layers, err := stack.Build(platform)
+		if err != nil {
+			return rfObservation{}, err
+		}
+		oracle, tr := layers.Top, layers.Trust
 
 		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
 			core.MultipleOptions{
