@@ -262,19 +262,18 @@ func RunTrials(trials, parallelism int, seed int64, trial func(i int, rng *rand.
 // Auditor runs coverage audits with fixed parameters against an
 // oracle. The zero value is not usable; construct with NewAuditor.
 //
-// The middleware calls (WithBudget, WithJournal, WithTrust, WithCache)
-// declare layers of one oracle stack, in any order: the stack is built
-// at the first audit or stats call, always as cache → trust → journal
-// → budget governor → oracle, and lives for the auditor's lifetime. A
-// middleware call after that build panics; build a new Auditor to
-// audit under a different stack.
+// The middleware calls (WithRetry, WithCache, WithTrust, WithJournal,
+// WithBudget) declare layers of one oracle stack, in any order: the
+// stack is built at the first audit or stats call, always as retry →
+// cache → trust → journal → budget governor → oracle, and lives for
+// the auditor's lifetime. A middleware call after that build panics;
+// build a new Auditor to audit under a different stack.
 type Auditor struct {
 	leaf        Oracle
 	tau         int
 	setSize     int
 	seed        int64
 	parallelism int
-	retry       core.RetryPolicy
 	ctx         context.Context
 	stack       core.Stack
 
@@ -331,10 +330,17 @@ func (a *Auditor) WithCache() *Auditor {
 	return a
 }
 
-// WithRetry re-posts transiently failing HITs (core.ErrTransient) up
-// to the policy's attempt budget instead of aborting audits.
+// WithRetry puts the retry layer on top of the stack: a transiently
+// failing HIT (core.ErrTransient) is re-posted up to the policy's
+// attempt budget inside its round instead of aborting the audit. Over
+// the bare oracle each request retries on its own; over other layers
+// a retry re-posts the part of the round left unanswered (all of it
+// when a plain oracle under them fails the round). Backoff jitter
+// never draws from the audit's seed. The last call before the build
+// wins.
 func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
-	a.retry = policy
+	a.unbuilt("WithRetry")
+	a.stack.Retry = policy
 	return a
 }
 
@@ -460,8 +466,8 @@ func (a *Auditor) WithContext(ctx context.Context) *Auditor {
 	a.ctx = ctx
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.layers != nil && a.layers.Journal != nil {
-		a.layers.Journal.SetContext(ctx)
+	if a.layers != nil {
+		a.layers.SetContext(ctx)
 	}
 	return a
 }
@@ -504,19 +510,18 @@ func (a *Auditor) multipleOptions() core.MultipleOptions {
 	return core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(a.seed)),
 		Parallelism: a.parallelism,
-		Retry:       a.retry,
 		Ctx:         a.ctx,
 	}
 }
 
 // runTask runs one sequential audit as a one-task lockstep run over
-// the stack, under the auditor's context and retry policy.
+// the stack, under the auditor's context.
 func (a *Auditor) runTask(fn func(o Oracle) error) error {
 	l, err := a.build()
 	if err != nil {
 		return err
 	}
-	return core.RunTask(a.ctx, l.Top, a.retry, a.parallelism, fn)
+	return core.RunTask(a.ctx, l.Top, a.parallelism, fn)
 }
 
 // AuditGroup decides whether one group is covered (Algorithm 1). Each
@@ -575,7 +580,9 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // composition never depends on the width, making the full result
 // bit-identical at every WithParallelism value even through the
 // order-dependent simulated crowd. Results equal the paper's
-// sequential loops exactly for order-independent oracles.
+// sequential loops exactly for order-independent oracles. Under
+// WithBudget the rounds narrow to the governor's remaining headroom,
+// whatever layers sit above it.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
 	l, err := a.build()
 	if err != nil {
@@ -585,7 +592,7 @@ func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (Class
 		core.ClassifierOptions{
 			Rng:         rand.New(rand.NewSource(a.seed)),
 			Parallelism: a.parallelism,
-			Retry:       a.retry,
+			Governor:    l.Budget,
 			Ctx:         a.ctx,
 		})
 }

@@ -2,6 +2,7 @@ package imagecvg
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -124,6 +125,54 @@ func TestAuditorWithRetryAbsorbsTransientFailures(t *testing.T) {
 	if res.Results[1].Covered { // gender value 1 = female
 		t.Error("10 females < tau 30 should be uncovered")
 	}
+
+	// WithRetry is an order-free layer call: before or after the other
+	// layers it lands on top of the stack, over the cache and the
+	// governor, and the retried audit equals the clean one.
+	var outs []string
+	for _, retryFirst := range []bool{true, false} {
+		a := NewAuditor(&flakyRounds{BatchOracle: NewTruthOracle(ds)}, 30, 20).WithSeed(5)
+		if retryFirst {
+			a.WithRetry(RetryPolicy{MaxAttempts: 3})
+		}
+		a.WithBudget(Budget{MaxHITs: 100000}).WithCache()
+		if !retryFirst {
+			a.WithRetry(RetryPolicy{MaxAttempts: 3})
+		}
+		got, err := a.AuditGroups(ds.IDs(), groups)
+		if err != nil {
+			t.Fatalf("retry first %v: %v", retryFirst, err)
+		}
+		if fmt.Sprint(got.Results) != fmt.Sprint(res.Results) || got.Tasks != res.Tasks {
+			t.Errorf("retry first %v: %+v tasks=%d, want %+v tasks=%d", retryFirst, got.Results, got.Tasks, res.Results, res.Tasks)
+		}
+		spent, _ := a.BudgetSpent()
+		outs = append(outs, fmt.Sprintf("%+v", spent))
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("spend depends on the WithRetry call order: %s vs %s", outs[0], outs[1])
+	}
+}
+
+// flakyRounds fails every third round wholesale with the transient
+// error; the lockstep scheduler posts rounds one at a time.
+type flakyRounds struct {
+	BatchOracle
+	calls int
+}
+
+func (f *flakyRounds) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	if f.calls++; f.calls%3 == 0 {
+		return nil, ErrTransient
+	}
+	return f.BatchOracle.SetQueryBatch(reqs)
+}
+
+func (f *flakyRounds) PointQueryBatch(ids []ObjectID) ([][]int, error) {
+	if f.calls++; f.calls%3 == 0 {
+		return nil, ErrTransient
+	}
+	return f.BatchOracle.PointQueryBatch(ids)
 }
 
 // TestSimulatedCrowdIsBatchOracle: the public crowd facade posts whole

@@ -132,6 +132,7 @@ func TestAuditorLateLayerPanics(t *testing.T) {
 		"WithBudget":  func(a *Auditor) { a.WithBudget(Budget{MaxHITs: 5}) },
 		"WithJournal": func(a *Auditor) { a.WithJournal(&memRoundJournal{}, nil) },
 		"WithTrust":   func(a *Auditor) { a.WithTrust(TrustConfig{}) },
+		"WithRetry":   func(a *Auditor) { a.WithRetry(RetryPolicy{MaxAttempts: 2}) },
 	}
 	for name, call := range calls {
 		for _, first := range []string{"audit", "stats"} {

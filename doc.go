@@ -55,12 +55,13 @@
 //     input can collide two distinct queries onto one cached answer),
 //     so a HIT already paid for is never posted twice; transient
 //     errors are never cached, and Auditor.WithRetry re-posts them
-//     instead of aborting.
+//     inside their round instead of aborting.
 //
-// WithCache, WithBudget, WithJournal and WithTrust declare layers of
-// one oracle stack, in any order. The stack is built at the first
-// audit, always as cache → trust → journal → budget governor → oracle
-// (core.Stack), with a non-batching oracle lifted once at the bottom.
+// WithRetry, WithCache, WithTrust, WithJournal and WithBudget declare
+// layers of one oracle stack, in any order. The stack is built at the
+// first audit, always as retry → cache → trust → journal → budget
+// governor → oracle (core.Stack), with a non-batching oracle lifted
+// once at the bottom; no audit wraps the oracle any other way.
 //
 // # Budget governance
 //

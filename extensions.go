@@ -12,7 +12,7 @@ import (
 
 // Extension surface beyond the paper's algorithms: acquisition
 // planning, batched (low-latency) audits, the statistical baseline,
-// audit transcripts, and execution-tree tracing.
+// round journals, and execution-tree tracing.
 
 type (
 	// RepairPlan is an acquisition plan repairing every uncovered
@@ -22,12 +22,6 @@ type (
 	RoundsResult = core.RoundsResult
 	// SampledResult is the statistical estimator's outcome.
 	SampledResult = core.SampledResult
-	// RecordingOracle wraps an Oracle and keeps the audit transcript.
-	RecordingOracle = core.RecordingOracle
-	// ReplayOracle re-answers a recorded transcript.
-	ReplayOracle = core.ReplayOracle
-	// QueryRecord is one transcript entry.
-	QueryRecord = core.QueryRecord
 	// ExecutionTrace records a Group-Coverage execution tree.
 	ExecutionTrace = core.ExecutionTrace
 
@@ -75,12 +69,8 @@ type (
 	WorkerStrategy = crowd.WorkerStrategy
 )
 
-// Re-exported transcript and engine constructors.
+// Re-exported engine constructors.
 var (
-	// NewRecordingOracle wraps any oracle with transcript recording.
-	NewRecordingOracle = core.NewRecordingOracle
-	// NewReplayOracle replays a recorded transcript.
-	NewReplayOracle = core.NewReplayOracle
 	// NewCachingOracle wraps a batch oracle (see AsBatchOracle) with the
 	// deduplicating cache; most callers use Auditor.WithCache instead.
 	NewCachingOracle = core.NewCachingOracle

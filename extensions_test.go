@@ -1,6 +1,8 @@
 package imagecvg
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,24 +105,39 @@ func TestAuditSampledFacade(t *testing.T) {
 	}
 }
 
+// untouchable fails every query, so a replayed audit that reaches it
+// surfaces an error.
+type untouchable struct{}
+
+var errTouched = errors.New("replayed audit reached the oracle")
+
+func (untouchable) SetQuery([]ObjectID, Group) (bool, error)        { return false, errTouched }
+func (untouchable) ReverseSetQuery([]ObjectID, Group) (bool, error) { return false, errTouched }
+func (untouchable) PointQuery(ObjectID) ([]int, error)              { return nil, errTouched }
+
+// TestTranscriptRoundTripFacade: an audit recorded with WithJournal
+// replays from its records alone, without touching the oracle.
 func TestTranscriptRoundTripFacade(t *testing.T) {
 	ds, err := GenerateBinary(400, 30, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecordingOracle(NewTruthOracle(ds))
-	auditor := NewAuditor(rec, 20, 25)
-	orig, err := auditor.AuditGroup(ds.IDs(), FemaleGroup(ds.Schema()))
+	groups := GroupsForAttribute(ds.Schema(), 0)
+	jnl := &memRoundJournal{}
+	orig, err := NewAuditor(NewTruthOracle(ds), 20, 25).WithJournal(jnl, nil).AuditGroups(ds.IDs(), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayAuditor := NewAuditor(NewReplayOracle(rec.Records()), 20, 25)
-	again, err := replayAuditor.AuditGroup(ds.IDs(), FemaleGroup(ds.Schema()))
+	replay := NewAuditor(untouchable{}, 20, 25).WithJournal(nil, jnl.recs)
+	again, err := replay.AuditGroups(ds.IDs(), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Covered != orig.Covered || again.Tasks != orig.Tasks {
-		t.Errorf("replay diverged: %+v vs %+v", again, orig)
+	if got, want := fmt.Sprintf("%+v", again.Results), fmt.Sprintf("%+v", orig.Results); got != want || again.Tasks != orig.Tasks {
+		t.Errorf("replay diverged: %s tasks=%d vs %s tasks=%d", got, again.Tasks, want, orig.Tasks)
+	}
+	if replayed, _, _ := replay.JournalStats(); replayed != len(jnl.recs) || replayed == 0 {
+		t.Errorf("replayed %d of %d recorded rounds", replayed, len(jnl.recs))
 	}
 }
 

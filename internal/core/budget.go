@@ -155,23 +155,6 @@ func NewBudgetedOracle(inner BatchOracle, b Budget) *BudgetedOracle {
 	return g
 }
 
-// applyBudget resolves the governor for one audit: an oracle that
-// already IS a governor (the Auditor shares one across audits) is
-// reused — opts-level budgets never double-wrap — and otherwise an
-// active budget wraps the oracle, lifted at the audit's width, here.
-// The returned oracle is what the audit must query through; gov is nil
-// when no budget governs.
-func applyBudget(o Oracle, b Budget, parallelism int) (Oracle, *BudgetedOracle) {
-	if gov, ok := o.(*BudgetedOracle); ok {
-		return o, gov
-	}
-	if b = normalizeBudget(b); !b.Active() {
-		return o, nil
-	}
-	gov := NewBudgetedOracle(AsBatchOracle(o, parallelism), b)
-	return gov, gov
-}
-
 // Budget returns the governor's configured caps.
 func (g *BudgetedOracle) Budget() Budget { return g.budget }
 

@@ -197,18 +197,21 @@ func TestMultipleCoverageBudgetExhaustionDeterministicUnderLockstep(t *testing.T
 func TestMultipleCoverageBudgetLargeCapMatchesUnbudgeted(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(300, 40, rand.New(rand.NewSource(6)))
 	groups := []pattern.Group{dataset.Female(d.Schema()), dataset.Male(d.Schema())}
-	run := func(b Budget) *MultipleResult {
-		res, err := MultipleCoverage(NewTruthOracle(d), d.IDs(), 15, 30, groups, MultipleOptions{
-			Rng:    rand.New(rand.NewSource(7)),
-			Budget: b,
+	run := func(b *Budget) *MultipleResult {
+		l, err := Stack{Budget: b}.Build(NewTruthOracle(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MultipleCoverage(l.Top, d.IDs(), 15, 30, groups, MultipleOptions{
+			Rng: rand.New(rand.NewSource(7)),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	free := run(Budget{})
-	capped := run(Budget{MaxHITs: 1 << 20})
+	free := run(nil)
+	capped := run(&Budget{MaxHITs: 1 << 20})
 	if fmt.Sprintf("%+v", free.Results) != fmt.Sprintf("%+v", capped.Results) ||
 		free.Tasks != capped.Tasks || capped.Exhausted {
 		t.Errorf("a non-binding budget changed the audit:\nfree   %+v tasks=%d\ncapped %+v tasks=%d",
@@ -254,6 +257,7 @@ func TestClassifierBudgetDeterministicUnderLockstep(t *testing.T) {
 			res, err := ClassifierCoverage(gov, d.IDs(), predicted, 10, tau, g, ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(seed)),
 				Parallelism: par,
+				Governor:    gov,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -286,7 +290,8 @@ func TestClassifierLabelRoundNarrowing(t *testing.T) {
 	cap := 25
 	gov := NewBudgetedOracle(NewTruthOracle(d), Budget{MaxHITs: cap})
 	res, err := ClassifierCoverage(gov, d.IDs(), predicted, 10, 80, g, ClassifierOptions{
-		Rng: rand.New(rand.NewSource(9)),
+		Rng:      rand.New(rand.NewSource(9)),
+		Governor: gov,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -357,15 +362,14 @@ func TestIntersectionalBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestAuditSharedGovernorSpansAudits: an oracle that already is a
-// governor is reused (applyBudget never double-wraps), so one budget
-// spans consecutive audits the way a deployment's customer cap does.
+// TestSharedGovernorSpansAudits: audits never wrap the oracle they are
+// given, so one governor and its budget span consecutive audits the
+// way a deployment's customer cap does.
 func TestSharedGovernorSpansAudits(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(200, 60, rand.New(rand.NewSource(12)))
 	groups := []pattern.Group{dataset.Female(d.Schema()), dataset.Male(d.Schema())}
 	gov := NewBudgetedOracle(NewTruthOracle(d), Budget{MaxHITs: 30})
-	// opts.Budget is ignored in favor of the existing governor.
-	opts := MultipleOptions{Rng: rand.New(rand.NewSource(13)), Budget: Budget{MaxHITs: 5}}
+	opts := MultipleOptions{Rng: rand.New(rand.NewSource(13))}
 	if _, err := MultipleCoverage(gov, d.IDs(), 10, 20, groups, opts); err != nil {
 		t.Fatal(err)
 	}

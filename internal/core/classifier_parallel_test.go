@@ -216,19 +216,15 @@ func TestClassifierRetryRecoversTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []ClassifierOptions{
-		{Rng: rand.New(rand.NewSource(1)), Retry: policy},
-		{Rng: rand.New(rand.NewSource(1)), Retry: policy, Parallelism: 4},
-		{Rng: rand.New(rand.NewSource(1)), Retry: policy, Parallelism: 16},
-	}
-	for i, opts := range cases {
+	for _, par := range []int{0, 4, 16} {
 		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 7}
-		res, err := ClassifierCoverage(flaky, d.IDs(), predicted, 25, 50, g, opts)
+		res, err := ClassifierCoverage(retried(flaky, policy, par), d.IDs(), predicted, 25, 50, g,
+			ClassifierOptions{Rng: rand.New(rand.NewSource(1)), Parallelism: par})
 		if err != nil {
-			t.Fatalf("case %d: retry did not absorb transient failures: %v", i, err)
+			t.Fatalf("P=%d: retry did not absorb transient failures: %v", par, err)
 		}
 		if got, want := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", clean); got != want {
-			t.Errorf("case %d: retried audit diverged from the clean oracle's:\n%s\nvs\n%s", i, got, want)
+			t.Errorf("P=%d: retried audit diverged from the clean oracle's:\n%s\nvs\n%s", par, got, want)
 		}
 	}
 }

@@ -47,18 +47,13 @@ type ClassifierOptions struct {
 	// value. The oracle must be safe for concurrent use when
 	// Parallelism > 1.
 	Parallelism int
-	// Retry re-posts transiently failing HITs (ErrTransient) instead
-	// of aborting the audit. The whole audit shares one retry wrapper
-	// (a classifier audit is a single task); its jitter draws from a
-	// fixed seed, never from Rng.
-	Retry RetryPolicy
-	// Budget caps the committed crowd queries of this audit (see
-	// MultipleOptions.Budget): exhaustion yields a partial
+	// Governor, when non-nil, is the budget governor inside the
+	// oracle's Stack (Layers.Budget): the engine narrows its
+	// speculative rounds to the governor's remaining headroom. It
+	// never wraps the oracle; budget exhaustion yields a partial
 	// ClassifierResult (Exhausted set, Count the verified lower bound)
-	// instead of an error, and the engine narrows its speculative
-	// rounds to the remaining headroom. An oracle that already is a
-	// *BudgetedOracle is reused and this field is ignored.
-	Budget Budget
+	// with or without it.
+	Governor *BudgetedOracle
 	// Ctx cancels the audit at round boundaries (see
 	// MultipleOptions.Ctx). Nil means context.Background().
 	Ctx context.Context
@@ -154,23 +149,15 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		return res, err
 	}
 
-	// A budget governor, when configured, wraps the oracle before the
-	// retry layer: a retried HIT is a re-posted HIT and charges the
-	// budget again, while an exhaustion refusal is not transient and
-	// never retries. Transient-failure handling wraps once per audit (a
-	// no-op when the policy is disabled); every phase — and the
-	// residual hunt — retries through it.
 	ctx := opts.context()
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	o, gov := applyBudget(o, opts.Budget, opts.Parallelism)
-	o = withRetry(ctx, o, opts.Retry, fixedJitterSeed, opts.Parallelism)
 
 	// Without predictions there is nothing to exploit.
 	if len(predicted) == 0 {
 		var gc GroupResult
-		err := RunTask(ctx, o, RetryPolicy{}, opts.Parallelism, func(audit Oracle) (err error) {
+		err := RunTask(ctx, o, opts.Parallelism, func(audit Oracle) (err error) {
 			gc, err = GroupCoverage(audit, ids, n, tau, g)
 			return err
 		})
@@ -185,7 +172,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		res.Tasks = gc.Tasks
 		return res, nil
 	}
-	e := &classifierEngine{bo: AsBatchOracle(o, opts.Parallelism), gov: gov, ctx: ctx}
+	e := &classifierEngine{bo: AsBatchOracle(o, opts.Parallelism), gov: opts.Governor, ctx: ctx}
 
 	// Line 2-3: estimate precision on a sample of G, posted as one
 	// point-query round.
@@ -318,7 +305,7 @@ func classifierFinish(ctx context.Context, o Oracle, parallelism int, ids []data
 		}
 	}
 	var gc GroupResult
-	err := RunTask(ctx, o, RetryPolicy{}, parallelism, func(audit Oracle) (err error) {
+	err := RunTask(ctx, o, parallelism, func(audit Oracle) (err error) {
 		gc, err = GroupCoverage(audit, rest, n, tau-verified, g)
 		return err
 	})

@@ -27,12 +27,14 @@
 //     lifts plain oracles through a bounded worker pool of
 //     Parallelism goroutines, while TruthOracle and the crowd platform
 //     implement it natively.
-//   - Stack (stack.go) declares an audit's middleware — cache, trust,
-//     journal, budget governor — and its one Build assembles them in
-//     the only legal order, cache → trust → journal → governor → leaf,
-//     lifting a non-batching leaf once at the bottom. Layers talk to
-//     each other only through batches; a middleware's single queries
-//     are one-element rounds.
+//   - Stack (stack.go) declares an audit's middleware — retry, cache,
+//     trust, journal, budget governor — and its one Build assembles
+//     them in the only legal order, retry → cache → trust → journal →
+//     governor → leaf, lifting a non-batching leaf once at the bottom.
+//     Build is the only place an oracle is wrapped: no audit algorithm
+//     wraps the oracle it is given. Layers talk to each other only
+//     through batches; a middleware's single queries are one-element
+//     rounds.
 //   - The lockstep scheduler (lockstep.go) runs Multiple- and
 //     Intersectional-Coverage: the sample posts as one point-query
 //     round (parallel.go), then the super-group audits, the
@@ -50,13 +52,13 @@
 //     at commit time.
 //   - CachingOracle (cache.go) deduplicates identical queries on a
 //     canonicalized key (sorted id-set plus group members) with
-//     in-flight collapsing; errors are never cached. It sits on top of
-//     the stack, so a hit reaches no other layer.
+//     in-flight collapsing; errors are never cached. It sits above
+//     every layer but retry, so a hit reaches no other layer.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
-//     jittered backoff. The retry wrapper sits below the scheduler, so
-//     a transient failure is absorbed inside its round: over a plain
-//     oracle each request retries on its own, and over a natively
-//     batching oracle a retry re-posts only the unanswered suffix of
+//     jittered backoff. The retry wrapper tops the Stack, below the
+//     scheduler, so a transient failure is absorbed inside its round:
+//     over a bare plain leaf each request retries on its own, and over
+//     a batching stack a retry re-posts only the unanswered suffix of
 //     the round and splices the answers, so a partial prefix a budget
 //     governor already committed — and paid — is never charged twice.
 //   - GroupCoverageRounds (rounds.go) issues each tree level of a
@@ -93,8 +95,10 @@
 // partial result (Exhausted flags, per-group Settled markers,
 // best-effort bounds from committed answers; Intersectional keeps
 // Unknown verdicts) — never a panic, an error, or a hung round. The
-// engine additionally narrows its speculative rounds to the governor's
-// remaining headroom: Label rounds post min(tau - verified, headroom)
+// classifier engine additionally narrows its speculative rounds to the
+// remaining headroom of the governor handle Build returns
+// (Layers.Budget, passed as ClassifierOptions.Governor), whatever
+// layers sit above it: Label rounds post min(tau - verified, headroom)
 // point queries, and the Partition frontier is clipped to the queue
 // prefix that could still reach the early stop. The exhaustion point,
 // partial verdicts, committed task counts and ledger spend are
@@ -130,9 +134,9 @@
 // and a cancelled context fails the next round before it reaches the
 // oracle — checked in the lockstep commit path (which one-query
 // Group-Coverage and Base-Coverage audits also run on, as one-task
-// lockstep runs via RunTask), before each classifier round, in the
-// journaling middleware, and in the retry backoff (which
-// selects on the context instead of sleeping through it). A killed job
+// lockstep runs via RunTask) and before each classifier round; the
+// Stack's journal and retry layers check Stack.Ctx, the retry backoff
+// selecting on it instead of sleeping through it. A killed job
 // therefore never half-posts a round: every round either committed
 // (and was journaled) or never touched the crowd, which is what makes
 // kill-at-round-K exactly resumable.

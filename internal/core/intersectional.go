@@ -61,16 +61,12 @@ type IntersectionalResult struct {
 // independent, so they run as concurrent tasks on the same lockstep
 // scheduler as the leaf audits; results settle in pattern-universe
 // order, keeping verdicts, MUPs and task counts identical at every
-// Parallelism.
+// Parallelism. A budget governor in o's Stack spans both phases.
 func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pattern.Schema, opts MultipleOptions) (*IntersectionalResult, error) {
 	if s == nil {
 		return nil, errors.New("core: nil schema")
 	}
 	opts.Multi = true
-	// One governor spans both phases: the leaf audits and the
-	// resolution re-audits draw from the same budget (MultipleCoverage
-	// reuses an oracle that already is a governor).
-	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
 	groups := pattern.SubgroupGroups(s)
 	mres, err := MultipleCoverage(o, ids, n, tau, groups, opts)
 	if err != nil {
@@ -124,15 +120,7 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		res.Verdicts[p.Key()] = v
 	}
 	// The re-audits run as lockstep tasks in pattern-universe order.
-	// Their retry jitter, like every audit phase's, draws from a child
-	// seed; the seeds are drawn only when a policy is set, so retry-free
-	// runs leave opts.Rng untouched.
-	var seeds []int64
-	if opts.Retry.Enabled() {
-		seeds = splitSeeds(opts.Rng, len(unresolved))
-	}
-	ctx := opts.context()
-	err = runLockstep(ctx, auditRounds(ctx, o, opts.Retry, seeds, opts.Parallelism), opts.Parallelism, len(unresolved), func(i int, audit Oracle) error {
+	err = runLockstep(opts.context(), o, opts.Parallelism, len(unresolved), func(i int, audit Oracle) error {
 		r := &unresolved[i]
 		var e error
 		r.audit, e = GroupCoverage(audit, mres.RemainingIDs, n, clampTau(tau-r.labeled), r.group)

@@ -161,10 +161,9 @@ func TestResolutionHonorsRetryPolicy(t *testing.T) {
 	d := dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(75)))
 	for _, par := range []int{1, 8} {
 		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 6}
-		res, err := IntersectionalCoverage(flaky, d.IDs(), 10, 20, s, MultipleOptions{
+		res, err := IntersectionalCoverage(retried(flaky, RetryPolicy{MaxAttempts: 3}, par), d.IDs(), 10, 20, s, MultipleOptions{
 			Rng:         rand.New(rand.NewSource(10)),
 			Parallelism: par,
-			Retry:       RetryPolicy{MaxAttempts: 3},
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v (retries should absorb transient failures end to end)", par, err)

@@ -168,16 +168,15 @@ func (s *lockstep) maybeCommit() {
 // error fails the failing queries uniformly — every parked task behind
 // the failure sees the same error, so which error surfaces never
 // depends on scheduling. Under a retry policy the retry wrapper sits
-// below the scheduler (auditRounds) and absorbs transient failures
-// inside the batch, so only a HIT that exhausts its attempts fails a
-// round. A partial-prefix
-// batch (a BudgetedOracle admitting only what the remaining budget
-// affords) delivers the committed prefix's answers to their tasks and
-// fails the rest of the round — the unadmitted sets AND every point
-// query, which sit after the sets in canonical order — with the
-// batch's error, so a budget exhausts at one deterministic point in the
-// canonical query sequence and no task ever hangs on an unanswered
-// round.
+// below the scheduler (on top of the Stack) and absorbs transient
+// failures inside the batch, so only a HIT that exhausts its attempts
+// fails a round. A partial-prefix batch (a BudgetedOracle admitting
+// only what the remaining budget affords) delivers the committed
+// prefix's answers to their tasks and fails the rest of the round —
+// the unadmitted sets AND every point query, which sit after the sets
+// in canonical order — with the batch's error, so a budget exhausts at
+// one deterministic point in the canonical query sequence and no task
+// ever hangs on an unanswered round.
 func (s *lockstep) commit(round []*lockstepQuery) {
 	sets, points := s.sets[:0], s.points[:0]
 	for _, q := range round {
@@ -310,14 +309,12 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 // RunTask runs one sequential audit — fn issues its queries one at a
 // time, like GroupCoverage or BaseCoverage — as a one-task lockstep
 // run: every query is a one-element round committed through o, so a
-// cancelled ctx fails the next round before it reaches the oracle, and
-// a transient failure is retried per policy below the scheduler.
+// cancelled ctx fails the next round before it reaches the oracle.
 // parallelism sizes the pool that lifts a plain o.
-func RunTask(ctx context.Context, o Oracle, policy RetryPolicy, parallelism int, fn func(audit Oracle) error) error {
+func RunTask(ctx context.Context, o Oracle, parallelism int, fn func(audit Oracle) error) error {
 	if o == nil {
 		return errors.New("core: nil oracle")
 	}
-	o = withRetry(ctx, o, policy, fixedJitterSeed, parallelism)
 	return runLockstep(ctx, o, parallelism, 1, func(_ int, audit Oracle) error { return fn(audit) })
 }
 

@@ -240,10 +240,9 @@ func TestLockstepRetryRecoversTransientFailures(t *testing.T) {
 	tau := 20
 	for _, par := range []int{1, 8} {
 		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 7}
-		res, err := MultipleCoverage(flaky, d.IDs(), 20, tau, groups, MultipleOptions{
+		res, err := MultipleCoverage(retried(flaky, RetryPolicy{MaxAttempts: 4}, par), d.IDs(), 20, tau, groups, MultipleOptions{
 			Rng:         rand.New(rand.NewSource(2)),
 			Parallelism: par,
-			Retry:       RetryPolicy{MaxAttempts: 4},
 		})
 		if err != nil {
 			t.Fatalf("P=%d: %v (retries should absorb transient failures)", par, err)

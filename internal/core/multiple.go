@@ -206,8 +206,7 @@ type MultipleOptions struct {
 	NoSampling bool
 	// Multi applies the same-parent aggregation rule (intersectional).
 	Multi bool
-	// Rng drives sampling and the child seeds of the audit rounds;
-	// required.
+	// Rng drives sampling; required.
 	Rng *rand.Rand
 	// Parallelism bounds the pool that lifts an oracle without native
 	// batching (see AsBatchOracle): each lockstep round's queries run
@@ -221,29 +220,11 @@ type MultipleOptions struct {
 	//
 	// Deprecated: every audit runs on the lockstep scheduler.
 	Lockstep bool
-	// Retry re-posts transiently failing HITs (ErrTransient) instead
-	// of aborting the audit. The retry wrapper sits below the
-	// scheduler, so one flaky HIT never fails a whole round: a plain
-	// oracle retries each request on its own, a natively batching one
-	// re-posts only the failed suffix. Backoff jitter never draws from
-	// Rng: the sampling round's comes from a fixed seed, the audit
-	// rounds' from the first child seed, so Rng's stream is the same
-	// with or without retries.
-	Retry RetryPolicy
-	// Budget caps the committed crowd queries of this audit: the engine
-	// wraps the oracle in a BudgetedOracle governor and, when the cap
-	// is hit, returns a deterministic partial result (Exhausted set,
-	// unsettled groups carrying best-effort bounds) instead of an
-	// error. An oracle that already is a *BudgetedOracle — the Auditor
-	// shares one governor across audits — is reused and this field is
-	// ignored. Queries are charged in canonical commit order, so the
-	// exhaustion point is byte-identical at every Parallelism.
-	Budget Budget
 	// Ctx cancels the audit at round boundaries: a cancelled context
 	// fails the next oracle round before it reaches the crowd (checked
-	// in the lockstep commit path, in the journaling middleware and in
-	// the retry backoff), so a killed job never half-posts a round.
-	// Nil means context.Background().
+	// in the lockstep commit path; the journal and the retry backoff
+	// check Stack.Ctx), so a killed job never half-posts a round. Nil
+	// means context.Background().
 	Ctx context.Context
 }
 
@@ -291,12 +272,15 @@ func sampleFactor(o Oracle, n, tau int, groups []pattern.Group, opts MultipleOpt
 // order, so verdicts and task counts equal the paper's sequential loop
 // for order-independent oracles and are bit-identical at every
 // Parallelism for any oracle whose batches execute in request order.
+//
+// Budget and retry live in o's Stack: under a budget governor,
+// exhaustion yields a deterministic partial result (Exhausted set,
+// unsettled groups carrying best-effort bounds) instead of an error.
 func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pattern.Group, opts MultipleOptions) (*MultipleResult, error) {
 	c, err := sampleFactor(o, n, tau, groups, opts)
 	if err != nil {
 		return nil, err
 	}
-	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
 	ctx := opts.context()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -310,10 +294,8 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 		budget = 0
 	}
 
-	// Sampling round: one batch of point queries. Its retry jitter
-	// draws from a fixed seed, never from opts.Rng.
-	sampler := AsBatchOracle(withRetry(ctx, o, opts.Retry, fixedJitterSeed, opts.Parallelism), opts.Parallelism)
-	remaining, sampleTasks, err := LabelSamplesBatch(sampler, ids, budget, res.Labeled, opts.Rng)
+	// Sampling round: one batch of point queries.
+	remaining, sampleTasks, err := LabelSamplesBatch(AsBatchOracle(o, opts.Parallelism), ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
 			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil
@@ -324,11 +306,12 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	res.SampleTasks = sampleTasks
 
 	plans := buildSuperPlans(res.Labeled, tau, groups, Aggregate(res.Labeled, len(ids), tau, groups, opts.Multi))
-	// One child seed per super-group is part of the audit's Rng
-	// transcript, so a caller reusing Rng afterwards sees one stream at
-	// every width, with or without retries. The audit rounds' retry
-	// jitter draws from the first.
-	audits := auditRounds(ctx, o, opts.Retry, splitSeeds(opts.Rng, len(plans)), opts.Parallelism)
+	// One Int63 draw per super-group is part of the audit's Rng
+	// transcript: nothing reads the values, but a caller reusing Rng
+	// afterwards observes the draws.
+	for range plans {
+		opts.Rng.Int63()
+	}
 
 	// Round 1: every super-group union audit is one lockstep task,
 	// task index = super-group index. GroupCoverage translates budget
@@ -337,7 +320,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	// additional cost and settleSuper marks the affected groups
 	// unsettled.
 	unionRes := make([]GroupResult, len(plans))
-	err = runLockstep(ctx, audits, opts.Parallelism, len(plans), func(si int, audit Oracle) error {
+	err = runLockstep(ctx, o, opts.Parallelism, len(plans), func(si int, audit Oracle) error {
 		var e error
 		unionRes[si], e = GroupCoverage(audit, remaining, n, plans[si].tauPrime, plans[si].union)
 		return e
@@ -360,7 +343,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 		}
 	}
 	subRes := make([]GroupResult, len(jobs))
-	err = runLockstep(ctx, audits, opts.Parallelism, len(jobs), func(j int, audit Oracle) error {
+	err = runLockstep(ctx, o, opts.Parallelism, len(jobs), func(j int, audit Oracle) error {
 		job := jobs[j]
 		g := groups[plans[job.si].members[job.mi]]
 		var e error

@@ -87,18 +87,6 @@ func RunBounded(parallelism, n int, fn func(i int) error) error {
 	return firstError(errs)
 }
 
-// splitSeeds draws n child seeds from the parent RNG in deterministic
-// order. An audit phase draws one per task — a fixed part of every
-// audit's Rng transcript — and seeds its round-side retry jitter from
-// them (auditRounds), so retries never draw from the parent.
-func splitSeeds(rng *rand.Rand, n int) []int64 {
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	return seeds
-}
-
 // LabelSamplesBatch is the sampling phase of section 4 (Algorithm 6)
 // issued as one batched oracle round: it draws up to k random objects,
 // labels them through a single PointQueryBatch call — so a crowd

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -138,10 +137,9 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	tau := 20
 	for _, par := range []int{1, 8} {
 		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 7}
-		res, err := MultipleCoverage(flaky, d.IDs(), 20, tau, groups, MultipleOptions{
+		res, err := MultipleCoverage(retried(flaky, RetryPolicy{MaxAttempts: 3}, par), d.IDs(), 20, tau, groups, MultipleOptions{
 			Rng:         rand.New(rand.NewSource(2)),
 			Parallelism: par,
-			Retry:       RetryPolicy{MaxAttempts: 3},
 		})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v (retries should absorb transient failures)", par, err)
@@ -188,7 +186,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &nativeBatchCounter{TruthOracle: NewTruthOracle(d)}
-	bo := AsBatchOracle(withRetry(context.Background(), counter, RetryPolicy{MaxAttempts: 3}, 1, 8), 8)
+	bo := AsBatchOracle(retried(counter, RetryPolicy{MaxAttempts: 3}, 8), 8)
 	if _, err := bo.PointQueryBatch(d.IDs()[:20]); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 
 	// Over a plain oracle the same wrapper retries per request.
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 5}
-	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, 2, 8), 8)
+	bo = AsBatchOracle(retried(flaky, RetryPolicy{MaxAttempts: 2}, 8), 8)
 	if _, err := bo.PointQueryBatch(d.IDs()[:30]); err != nil {
 		t.Errorf("per-request retry over plain oracle: %v", err)
 	}
@@ -212,7 +210,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	d := binaryDataset(t, []int{0, 1, 0, 1})
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 1} // always fails
-	o := withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 3}, 3, 1)
+	o := retried(flaky, RetryPolicy{MaxAttempts: 3}, 1)
 	if _, err := o.SetQuery(d.IDs(), female(d)); !errors.Is(err, ErrTransient) {
 		t.Errorf("err = %v, want transient after exhausting attempts", err)
 	}

@@ -50,7 +50,6 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 	if err != nil {
 		return nil, err
 	}
-	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
 	res := &MultipleResult{
 		Results: make([]MultipleGroupResult, len(groups)),
 		Labeled: NewLabeledSet(),
@@ -63,8 +62,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seqOracle := withRetry(ctx, o, opts.Retry, fixedJitterSeed, opts.Parallelism)
-	remaining, sampleTasks, err := labelSamples(seqOracle, ids, budget, res.Labeled, opts.Rng)
+	remaining, sampleTasks, err := labelSamples(o, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
 			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil
@@ -79,7 +77,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		gc, err := GroupCoverage(seqOracle, remaining, n, plan.tauPrime, plan.union)
+		gc, err := GroupCoverage(o, remaining, n, plan.tauPrime, plan.union)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +85,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 		if len(plan.members) > 1 && gc.Covered {
 			for _, gi := range plan.members {
 				g := groups[gi]
-				sub, err := GroupCoverage(seqOracle, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
+				sub, err := GroupCoverage(o, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
 				if err != nil {
 					return nil, err
 				}
@@ -110,8 +108,6 @@ func classifierCoverageReference(o Oracle, ids, predicted []dataset.ObjectID, n,
 		return ClassifierCoverage(o, ids, predicted, n, tau, g, opts)
 	}
 	res := ClassifierResult{Group: g, Strategy: StrategyNone}
-	o, _ = applyBudget(o, opts.Budget, opts.Parallelism)
-	o = withRetry(opts.context(), o, opts.Retry, fixedJitterSeed, opts.Parallelism)
 
 	// Line 2-3: estimate precision on a sample of G.
 	sampleSize := sampleBudget(opts.SampleFraction, len(predicted))

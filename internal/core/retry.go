@@ -21,9 +21,8 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// Backoff scales the wait between attempts: before retry k the
 	// engine sleeps Backoff * (0.5 + jitter) where jitter in [0, 1) is
-	// drawn from a private RNG (seeded from an audit phase's child seed
-	// or a fixed seed, never drawn from the audit's Rng). Zero sleeps
-	// not at all (tests).
+	// drawn from a private RNG with a fixed seed, never from the
+	// audit's Rng. Zero sleeps not at all (tests).
 	Backoff time.Duration
 }
 
@@ -46,52 +45,43 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 type retryOracle struct {
 	inner  Oracle
 	policy RetryPolicy
-	ctx    context.Context
 	width  int
 
-	mu  sync.Mutex // guards rng
+	mu  sync.Mutex // guards ctx and rng
+	ctx context.Context
 	rng *rand.Rand
 }
 
-// fixedJitterSeed seeds the retry jitter of audit phases that have no
-// child seed of their own (the sampling round, a classifier audit, a
-// single-group audit). Jitter only scales sleeps, so a fixed seed
-// costs nothing, and it keeps the audit's Rng stream the same with or
-// without retries.
+// fixedJitterSeed seeds the retry jitter. Jitter only scales sleeps,
+// so a fixed seed costs nothing, and it keeps the audit's Rng stream
+// the same with or without retries.
 const fixedJitterSeed = 1
 
-// withRetry wraps o unless the policy is disabled. The context bounds
-// the backoff waits: a cancelled ctx aborts a sleeping retry
-// immediately with ctx.Err() instead of posting another attempt.
-// Jitter draws from a private RNG seeded with seed; parallelism sizes
-// the pool that retries a plain oracle's requests one by one.
-func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, seed int64, parallelism int) Oracle {
-	if !policy.Enabled() {
-		return o
+// withRetry wraps o with the policy; Stack.Build calls it when the
+// policy is enabled. The context bounds the backoff waits: a cancelled
+// ctx aborts a sleeping retry immediately with ctx.Err() instead of
+// posting another attempt. parallelism sizes the pool that retries a
+// plain oracle's requests one by one.
+func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, parallelism int) *retryOracle {
+	r := &retryOracle{
+		inner:  o,
+		policy: policy,
+		width:  normalizeParallelism(parallelism),
+		rng:    rand.New(rand.NewSource(fixedJitterSeed)),
 	}
+	r.setContext(ctx)
+	return r
+}
+
+// setContext installs the context that bounds backoff waits; nil means
+// context.Background().
+func (r *retryOracle) setContext(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &retryOracle{
-		inner:  o,
-		policy: policy,
-		ctx:    ctx,
-		width:  normalizeParallelism(parallelism),
-		rng:    rand.New(rand.NewSource(seed)),
-	}
-}
-
-// auditRounds returns the oracle an audit phase's lockstep rounds
-// commit through: o itself, or — under a retry policy — o behind the
-// retry wrapper, below the scheduler, so a transient HIT is re-posted
-// inside its round instead of failing every task parked in it. The
-// backoff jitter draws from a child RNG seeded with the phase's first
-// child seed, never from the audit's parent Rng.
-func auditRounds(ctx context.Context, o Oracle, policy RetryPolicy, seeds []int64, parallelism int) Oracle {
-	if len(seeds) == 0 {
-		return o
-	}
-	return withRetry(ctx, o, policy, seeds[0], parallelism)
+	r.mu.Lock()
+	r.ctx = ctx
+	r.mu.Unlock()
 }
 
 // do runs fn up to MaxAttempts times, backing off with jitter between
@@ -103,18 +93,18 @@ func (r *retryOracle) do(fn func() error) error {
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			r.mu.Lock()
-			jitter := 0.5 + r.rng.Float64()
+			ctx, jitter := r.ctx, 0.5+r.rng.Float64()
 			r.mu.Unlock()
 			if d := time.Duration(float64(r.policy.Backoff) * jitter); d > 0 {
 				timer := time.NewTimer(d)
 				select {
-				case <-r.ctx.Done():
+				case <-ctx.Done():
 					timer.Stop()
-					return r.ctx.Err()
+					return ctx.Err()
 				case <-timer.C:
 				}
 			}
-			if e := r.ctx.Err(); e != nil {
+			if e := ctx.Err(); e != nil {
 				return e
 			}
 		}

@@ -152,15 +152,16 @@ func TestRetryBatchNoDoubleCharge(t *testing.T) {
 		d, _, _ := retryReqs(t)
 		return &prefixFlakyBatch{inner: NewTruthOracle(d), failEvery: 4}
 	}
-	gov := NewBudgetedOracle(fresh(t), Budget{MaxHITs: 100})
-	r := withRetry(context.Background(), gov, policy, 1, 1)
-	answers, err := AsBatchOracle(r, 1).SetQueryBatch(reqs)
-	check("retry(gov(flaky))", answers, err, gov.Spent(), 9)
+	l, err := Stack{Budget: &Budget{MaxHITs: 100}, Retry: policy}.Build(fresh(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := AsBatchOracle(l.Top, 1).SetQueryBatch(reqs)
+	check("retry(gov(flaky))", answers, err, l.Budget.Spent(), 9)
 
 	// Governor over retry: the retries happen below the governor, so
 	// the round charges its 6 requests once.
-	r2 := withRetry(context.Background(), fresh(t), policy, 2, 1)
-	gov2 := NewBudgetedOracle(AsBatchOracle(r2, 1), Budget{MaxHITs: 100})
+	gov2 := NewBudgetedOracle(AsBatchOracle(retried(fresh(t), policy, 1), 1), Budget{MaxHITs: 100})
 	answers2, err2 := gov2.SetQueryBatch(reqs)
 	check("gov(retry(flaky))", answers2, err2, gov2.Spent(), 6)
 }
@@ -181,9 +182,12 @@ func TestRetryPointBatchSuffixSplice(t *testing.T) {
 	}
 
 	flaky := &prefixFlakyBatch{inner: NewTruthOracle(d), failEvery: 4}
-	gov := NewBudgetedOracle(flaky, Budget{MaxHITs: 100})
-	r := withRetry(context.Background(), gov, RetryPolicy{MaxAttempts: 3}, 3, 1)
-	labels, err := AsBatchOracle(r, 1).PointQueryBatch(ids)
+	l, err := Stack{Budget: &Budget{MaxHITs: 100}, Retry: RetryPolicy{MaxAttempts: 3}}.Build(flaky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := l.Budget
+	labels, err := AsBatchOracle(l.Top, 1).PointQueryBatch(ids)
 	if err != nil {
 		t.Fatalf("err = %v, want success", err)
 	}
@@ -214,19 +218,33 @@ func TestRetryBackoffCancels(t *testing.T) {
 	g := pattern.GroupsForAttribute(s, 0)[1]
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 1} // every call fails
 
-	ctx, cancel := context.WithCancel(context.Background())
-	r := withRetry(ctx, flaky, RetryPolicy{MaxAttempts: 5, Backoff: time.Hour}, 4, 1)
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := r.SetQuery(d.IDs()[:2], g)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("cancellation took %v; backoff slept through the context", elapsed)
+	// The context reaches the retry layer through Stack.Ctx or, after
+	// the build, through Layers.SetContext.
+	for _, late := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		stack := Stack{Retry: RetryPolicy{MaxAttempts: 5, Backoff: time.Hour}}
+		if !late {
+			stack.Ctx = ctx
+		}
+		l, err := stack.Build(flaky)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if late {
+			l.SetContext(ctx)
+		}
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+		}()
+		start := time.Now()
+		_, err = l.Top.SetQuery(d.IDs()[:2], g)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("late=%v: err = %v, want context.Canceled", late, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("late=%v: cancellation took %v; backoff slept through the context", late, elapsed)
+		}
 	}
 }
 
@@ -259,13 +277,8 @@ func TestNormalizeBudget(t *testing.T) {
 		})
 	}
 
-	// An all-negative budget is inactive: applyBudget must not wrap.
+	// The constructor clamps.
 	o := deadOracle{}
-	wrapped, gov := applyBudget(o, Budget{MaxHITs: -5, MaxSpend: -1}, 1)
-	if gov != nil || wrapped != Oracle(o) {
-		t.Errorf("applyBudget with negative caps wrapped the oracle (gov=%v)", gov)
-	}
-	// The constructor clamps too.
 	if b := NewBudgetedOracle(NewBatchAdapter(o, 1), Budget{MaxHITs: -3}).Budget(); b.MaxHITs != 0 {
 		t.Errorf("NewBudgetedOracle kept negative MaxHITs: %+v", b)
 	}

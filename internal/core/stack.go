@@ -5,18 +5,22 @@ import (
 	"errors"
 )
 
-// Stack declares the middleware an audit's oracle runs behind. Build
-// assembles the one legal order,
+// Stack declares the middleware an audit's oracle runs behind; Build
+// is the only place an oracle is wrapped. It assembles the one legal
+// order,
 //
-//	cache → trust → journal → governor → leaf
+//	retry → cache → trust → journal → governor → leaf
 //
 // whatever order the fields were set in: the governor sits directly
 // over the leaf, so it charges real HITs and every cache hit above it
 // is free; the journal sits above the governor, whose ledger it
 // snapshots per round and restores on replay; trust sits above the
 // journal, so probe-augmented rounds are journaled and a resumed audit
-// re-issues identical probes; the cache sits on top, where a replayed
-// round re-fills it deterministically. The zero value has no layers.
+// re-issues identical probes; the cache sits above trust, where a
+// replayed round re-fills it deterministically; retry sits on top,
+// below the audit's lockstep scheduler, so a transient HIT is
+// re-posted inside its round instead of failing every task parked in
+// it. The zero value has no layers.
 type Stack struct {
 	// Budget, when non-nil, puts a BudgetedOracle governor over the
 	// leaf. An inactive budget still counts spend.
@@ -29,65 +33,89 @@ type Stack struct {
 	Replay  []RoundRecord
 	// Trust, when non-nil, puts a TrustOracle over the journal.
 	Trust *TrustConfig
-	// Cache puts a CachingOracle on top.
+	// Cache puts a CachingOracle over trust.
 	Cache bool
+	// Retry, when enabled, puts the retry wrapper on top: a transient
+	// failure re-posts only the part of the round left unanswered
+	// below; over a bare plain leaf each request retries on its own.
+	// Backoff jitter draws from a fixed seed, never from an audit's
+	// Rng.
+	Retry RetryPolicy
 	// Parallelism is the width of the pool that lifts a leaf without
 	// native batching (values <= 1 mean width 1).
 	Parallelism int
-	// Ctx cancels the journal's rounds (see JournalingOracle.SetContext);
-	// nil means context.Background().
+	// Ctx cancels the journal's rounds (see JournalingOracle.SetContext)
+	// and the retry backoff waits; nil means context.Background().
 	Ctx context.Context
 }
 
 // Layers is a built Stack: Top is the oracle audits query through, and
 // each layer handle is nil when the Stack did not ask for that layer.
+// Pass Budget to ClassifierOptions.Governor so the classifier narrows
+// its rounds to the remaining headroom.
 type Layers struct {
 	Top     Oracle
 	Cache   *CachingOracle
 	Trust   *TrustOracle
 	Journal *JournalingOracle
 	Budget  *BudgetedOracle
+
+	retry *retryOracle
 }
 
-// empty reports whether the stack asks for no layer at all.
-func (s Stack) empty() bool {
-	return s.Budget == nil && s.Journal == nil && s.Replay == nil && s.Trust == nil && !s.Cache
+// SetContext replaces the context the built stack checks: the
+// journal's per-round check and the retry backoff waits.
+func (l Layers) SetContext(ctx context.Context) {
+	if l.Journal != nil {
+		l.Journal.SetContext(ctx)
+	}
+	if l.retry != nil {
+		l.retry.setContext(ctx)
+	}
 }
 
-// Build assembles the stack over leaf. A leaf without native batching
-// is lifted once, at the bottom, across Parallelism goroutines; every
-// layer above talks to the one below only through batches. A stack
-// with no layers returns the leaf as given. Build fails only for a nil
-// leaf under some layer or an invalid trust configuration.
+// Build assembles the stack over leaf. Below retry, a leaf without
+// native batching is lifted once, at the bottom, across Parallelism
+// goroutines, and every layer above talks to the one below only
+// through batches; retry alone wraps the leaf as given. A stack with
+// no layers returns the leaf as given. Build fails only for a nil leaf
+// under some layer or an invalid trust configuration.
 func (s Stack) Build(leaf Oracle) (Layers, error) {
-	if s.empty() {
-		return Layers{Top: leaf}, nil
+	l := Layers{Top: leaf}
+	batched := s.Budget != nil || s.Journal != nil || s.Replay != nil || s.Trust != nil || s.Cache
+	if !batched && !s.Retry.Enabled() {
+		return l, nil
 	}
 	if leaf == nil {
 		return Layers{}, errors.New("core: nil oracle")
 	}
-	var l Layers
-	bo := AsBatchOracle(leaf, s.Parallelism)
-	if s.Budget != nil {
-		l.Budget = NewBudgetedOracle(bo, *s.Budget)
-		bo = l.Budget
-	}
-	if s.Journal != nil || s.Replay != nil {
-		l.Journal = NewJournalingOracle(bo, s.Journal, s.Replay, l.Budget).SetContext(s.Ctx)
-		bo = l.Journal
-	}
-	if s.Trust != nil {
-		t, err := NewTrustOracle(bo, *s.Trust)
-		if err != nil {
-			return Layers{}, err
+	if batched {
+		bo := AsBatchOracle(leaf, s.Parallelism)
+		if s.Budget != nil {
+			l.Budget = NewBudgetedOracle(bo, *s.Budget)
+			bo = l.Budget
 		}
-		l.Trust = t
-		bo = t
+		if s.Journal != nil || s.Replay != nil {
+			l.Journal = NewJournalingOracle(bo, s.Journal, s.Replay, l.Budget).SetContext(s.Ctx)
+			bo = l.Journal
+		}
+		if s.Trust != nil {
+			t, err := NewTrustOracle(bo, *s.Trust)
+			if err != nil {
+				return Layers{}, err
+			}
+			l.Trust = t
+			bo = t
+		}
+		if s.Cache {
+			l.Cache = NewCachingOracle(bo)
+			bo = l.Cache
+		}
+		l.Top = bo
 	}
-	if s.Cache {
-		l.Cache = NewCachingOracle(bo)
-		bo = l.Cache
+	if s.Retry.Enabled() {
+		l.retry = withRetry(s.Ctx, l.Top, s.Retry, s.Parallelism)
+		l.Top = l.retry
 	}
-	l.Top = bo
 	return l, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,17 +12,34 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// TestStackBuildOrder: Build assembles cache → trust → journal →
-// governor → leaf, hands the governor to the journal, lifts a plain
-// leaf once at the bottom, and returns a layer-free stack's leaf as is.
+// retried puts leaf under a Stack with the retry policy alone.
+func retried(leaf Oracle, policy RetryPolicy, parallelism int) Oracle {
+	l, err := Stack{Retry: policy, Parallelism: parallelism}.Build(leaf)
+	if err != nil {
+		panic(err)
+	}
+	return l.Top
+}
+
+// TestStackBuildOrder: Build assembles retry → cache → trust → journal
+// → governor → leaf, hands the governor to the journal, lifts a plain
+// leaf once at the bottom, wraps a bare leaf under retry alone as is,
+// and returns a layer-free stack's leaf as is.
 func TestStackBuildOrder(t *testing.T) {
 	d := binaryDataset(t, []int{0, 1, 1, 0, 1, 0, 0, 1})
 	truth := NewTruthOracle(d)
 	leaf := plainOracle{truth}
 
-	l, err := Stack{}.Build(leaf)
-	if err != nil || l.Top != Oracle(leaf) || l.Cache != nil || l.Budget != nil {
-		t.Fatalf("empty stack: %+v, %v; want the leaf as given", l, err)
+	for _, s := range []Stack{{}, {Retry: RetryPolicy{MaxAttempts: 1}}} {
+		l, err := s.Build(leaf)
+		if err != nil || l.Top != Oracle(leaf) || l.Cache != nil || l.Budget != nil || l.retry != nil {
+			t.Fatalf("stack %+v: %+v, %v; want the leaf as given", s, l, err)
+		}
+	}
+	retry := RetryPolicy{MaxAttempts: 2}
+	l, err := Stack{Retry: retry, Parallelism: 4}.Build(leaf)
+	if err != nil || l.Top != Oracle(l.retry) || l.retry.inner != Oracle(leaf) || l.retry.width != 4 {
+		t.Fatalf("retry alone: %+v, %v; want retry directly over the bare leaf", l, err)
 	}
 
 	mem := &memJournal{}
@@ -30,12 +48,13 @@ func TestStackBuildOrder(t *testing.T) {
 		Trust:       &TrustConfig{},
 		Journal:     mem,
 		Budget:      &Budget{MaxHITs: 3},
+		Retry:       retry,
 		Parallelism: 4,
 	}.Build(leaf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Top != Oracle(l.Cache) || l.Cache.inner != BatchOracle(l.Trust) ||
+	if l.Top != Oracle(l.retry) || l.retry.inner != Oracle(l.Cache) || l.Cache.inner != BatchOracle(l.Trust) ||
 		l.Trust.inner != BatchOracle(l.Journal) || l.Journal.inner != BatchOracle(l.Budget) ||
 		l.Journal.gov != l.Budget {
 		t.Fatalf("layers out of order: %+v", l)
@@ -152,7 +171,7 @@ func TestClassifierResidualHonorsCancellation(t *testing.T) {
 
 // TestRetryJitterLeavesRngStream: retry backoff jitter never draws from
 // the caller's Rng, so after an audit the Rng is in the same state with
-// or without transient failures.
+// retry off, with retry on, and with retried failures.
 func TestRetryJitterLeavesRngStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d, err := dataset.BinaryWithMinority(2000, 40, rng)
@@ -162,32 +181,90 @@ func TestRetryJitterLeavesRngStream(t *testing.T) {
 	g := female(d)
 	groups := pattern.GroupsForAttribute(d.Schema(), 0)
 	predicted := d.PredictedSet(g, 30, 20)
-	retry := RetryPolicy{MaxAttempts: 5}
-	audits := map[string]func(o Oracle, rng *rand.Rand) error{
-		"MultipleCoverage": func(o Oracle, rng *rand.Rand) error {
-			_, err := MultipleCoverage(o, d.IDs(), 10, 25, groups, MultipleOptions{Rng: rng, Retry: retry, Parallelism: 4})
-			return err
-		},
-		"ClassifierCoverage": func(o Oracle, rng *rand.Rand) error {
-			_, err := ClassifierCoverage(o, d.IDs(), predicted, 10, 25, g, ClassifierOptions{Rng: rng, Retry: retry, Parallelism: 4})
-			return err
-		},
+	// A 2x3 instance, counts [30 8 0 37 35 19], whose intersectional
+	// audit posts 58 resolution tasks.
+	s := pattern.MustSchema(
+		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
+		pattern.Attribute{Name: "b", Values: []string{"0", "1", "2"}},
+	)
+	crng := rand.New(rand.NewSource(20))
+	counts := make([]int, s.NumSubgroups())
+	for i := range counts {
+		counts[i] = crng.Intn(40)
 	}
-	for name, audit := range audits {
-		next := func(o Oracle) int64 {
+	d2 := dataset.MustFromCounts(s, counts, crng)
+
+	type audit struct {
+		d   *dataset.Dataset
+		run func(o Oracle, rng *rand.Rand) error
+	}
+	audits := map[string]audit{
+		"MultipleCoverage": {d, func(o Oracle, rng *rand.Rand) error {
+			_, err := MultipleCoverage(o, d.IDs(), 10, 25, groups, MultipleOptions{Rng: rng, Parallelism: 4})
+			return err
+		}},
+		"ClassifierCoverage": {d, func(o Oracle, rng *rand.Rand) error {
+			_, err := ClassifierCoverage(o, d.IDs(), predicted, 10, 25, g, ClassifierOptions{Rng: rng, Parallelism: 4})
+			return err
+		}},
+		"IntersectionalCoverage": {d2, func(o Oracle, rng *rand.Rand) error {
+			_, err := IntersectionalCoverage(o, d2.IDs(), 8, 20, s, MultipleOptions{Rng: rng, Parallelism: 4})
+			return err
+		}},
+	}
+	retry := RetryPolicy{MaxAttempts: 5}
+	for name, a := range audits {
+		next := func(leaf Oracle, policy RetryPolicy) int64 {
 			rng := rand.New(rand.NewSource(3))
-			if err := audit(o, rng); err != nil {
+			if err := a.run(retried(leaf, policy, 4), rng); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			return rng.Int63()
 		}
-		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 7}
-		clean, failing := next(NewTruthOracle(d)), next(flaky)
+		flaky := &FlakyOracle{Inner: NewTruthOracle(a.d), FailEvery: 7}
+		off, on, failing := next(NewTruthOracle(a.d), RetryPolicy{}), next(NewTruthOracle(a.d), retry), next(flaky, retry)
 		if flaky.calls < 7 {
 			t.Fatalf("%s: no transient failure injected (%d calls)", name, flaky.calls)
 		}
-		if clean != failing {
-			t.Errorf("%s: next Rng draw %d over a clean oracle, %d with retried failures", name, clean, failing)
+		if off != on || on != failing {
+			t.Errorf("%s: next Rng draw %d with retry off, %d with retry on, %d with retried failures", name, off, on, failing)
+		}
+	}
+}
+
+// TestClassifierNarrowsUnderEveryStack: the classifier narrows its
+// rounds by the governor handle Build returns, so a layer above the
+// governor leaves a budget-bound audit's result and spend unchanged.
+func TestClassifierNarrowsUnderEveryStack(t *testing.T) {
+	d, err := dataset.BinaryWithMinority(300, 100, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := female(d)
+	for _, predicted := range [][]dataset.ObjectID{d.IDs(), d.PredictedSet(g, 90, 2)} {
+		run := func(s Stack) string {
+			s.Budget = &Budget{MaxHITs: 25}
+			l, err := s.Build(NewTruthOracle(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ClassifierCoverage(l.Top, d.IDs(), predicted, 10, 80, g,
+				ClassifierOptions{Rng: rand.New(rand.NewSource(9)), Governor: l.Budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("%+v|%+v", res, l.Budget.Spent())
+		}
+		want := run(Stack{})
+		for name, s := range map[string]Stack{
+			"cache":   {Cache: true},
+			"journal": {Journal: &memJournal{}},
+			"retry":   {Retry: RetryPolicy{MaxAttempts: 2}},
+			"all":     {Cache: true, Journal: &memJournal{}, Retry: RetryPolicy{MaxAttempts: 2}},
+		} {
+			if got := run(s); got != want {
+				t.Errorf("%d predictions, %s over the governor:\n%s\nwant the governor-only stack's\n%s", len(predicted), name, got, want)
+			}
 		}
 	}
 }

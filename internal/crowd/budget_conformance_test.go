@@ -94,6 +94,7 @@ func runBudgetedCell(t *testing.T, inst budgetedInstance, parallelism int) (stri
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
+				Governor:    gov,
 			})
 		if err != nil {
 			t.Fatal(err)

@@ -112,6 +112,7 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
+				Governor:    gov,
 				Ctx:         ctx,
 			})
 		if err == nil {

@@ -62,13 +62,6 @@ type Config struct {
 	// wires it into its audit options, falling back to the
 	// experiment's own default when zero.
 	EngineParallelism int
-	// Budget, when active, caps the committed crowd queries of each
-	// trial's audit. Like EngineParallelism it is a pass-through: the
-	// engine echoes it on Trial.Budget and the trial body wires it into
-	// its audit options (core.MultipleOptions.Budget /
-	// core.ClassifierOptions.Budget), so a grid can sweep the budget
-	// axis the same way it sweeps engine widths.
-	Budget core.Budget
 	// Ctx cancels the cell: a trial whose context is already cancelled
 	// fails before it dispatches, and the engine echoes the context on
 	// Trial.Ctx so the trial body can thread it into its audit options
@@ -110,9 +103,6 @@ type Trial struct {
 	// EngineParallelism echoes Config.EngineParallelism; zero means
 	// the trial body applies its own default engine width.
 	EngineParallelism int
-	// Budget echoes Config.Budget; the zero value leaves the trial's
-	// audits ungoverned.
-	Budget core.Budget
 	// Ctx echoes Config.Ctx (never nil): thread it into the audit
 	// options so cancellation reaches the round boundaries.
 	Ctx context.Context
@@ -269,7 +259,6 @@ func RunMany[T any](cfgs []Config, fn func(cell int, t Trial) (T, error)) ([]*Re
 			Index:             index,
 			Seed:              cfg.Seed + int64(index),
 			EngineParallelism: cfg.EngineParallelism,
-			Budget:            cfg.Budget,
 			Ctx:               ctx,
 		}
 		t.Rng = rand.New(rand.NewSource(t.Seed))

@@ -44,6 +44,13 @@ func cells() []conformanceCell {
 			n: 140, minority: 10, dsSeed: 5, tau: 8, setSize: 14, seed: 11},
 		{name: "crowd-classifier", mode: server.ModeClassifier, oracle: "crowd",
 			n: 160, minority: 14, dsSeed: 9, tau: 9, setSize: 16, seed: 13, tp: 10, fp: 5},
+		// Budget-bound classifier jobs: the journal sits above the
+		// governor, and the classifier must still narrow its rounds to
+		// the governor's headroom like the one-shot Auditor does.
+		{name: "crowd-classifier-budgeted", mode: server.ModeClassifier, oracle: "crowd",
+			n: 160, minority: 14, dsSeed: 9, tau: 9, setSize: 16, seed: 13, tp: 10, fp: 5, maxHITs: 4},
+		{name: "crowd-classifier-budgeted-tight", mode: server.ModeClassifier, oracle: "crowd",
+			n: 160, minority: 14, dsSeed: 9, tau: 9, setSize: 16, seed: 13, tp: 12, fp: 8, maxHITs: 3},
 	}
 }
 

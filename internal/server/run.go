@@ -20,8 +20,9 @@ import (
 // runAudit executes (or resumes) one job's audit. The oracle stack is
 // the root Auditor's, built by the same core.Stack: platform/truth →
 // budget governor → journaling middleware, on the lockstep scheduler
-// every audit runs on — which is what makes a job's verdicts, task
-// tallies and spend byte-identical to the one-shot run of the same
+// every audit runs on, with the governor handed to the classifier for
+// round narrowing — which is what makes a job's verdicts, task tallies
+// and spend byte-identical to the one-shot run of the same
 // configuration, at every parallelism level and across a kill/restart.
 func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err error) {
 	cfg := j.cfg
@@ -139,6 +140,7 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(cfg.Seed)),
 				Parallelism: cfg.Parallelism,
+				Governor:    gov,
 				Ctx:         ctx,
 			})
 		if aerr != nil {

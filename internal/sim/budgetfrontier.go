@@ -174,9 +174,7 @@ func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult
 					maxHITs = 1
 				}
 				cells = append(cells, cell{wi: wi, fraction: frac, maxHITs: maxHITs})
-				cfg := o.cell(fmt.Sprintf("budget-frontier/N=%d/tau=%d/frac=%.2f", n, tau, frac), seedOffset)
-				cfg.Budget = core.Budget{MaxHITs: maxHITs}
-				cfgs = append(cfgs, cfg)
+				cfgs = append(cfgs, o.cell(fmt.Sprintf("budget-frontier/N=%d/tau=%d/frac=%.2f", n, tau, frac), seedOffset))
 			}
 		}
 	}
@@ -186,12 +184,13 @@ func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult
 		w := workloads[c.wi]
 		// Each trial owns its governor (the budget is per audit, the
 		// truth oracle is shared and concurrency-safe).
-		mres, err := core.MultipleCoverage(w.oracle, w.ids, p.SetSize, w.tau, groups,
-			core.MultipleOptions{
-				Rng:         t.Rng,
-				Parallelism: engineWidth(t, 1),
-				Budget:      t.Budget,
-			})
+		width := engineWidth(t, 1)
+		l, err := core.Stack{Budget: &core.Budget{MaxHITs: c.maxHITs}, Parallelism: width}.Build(w.oracle)
+		if err != nil {
+			return bfObservation{}, err
+		}
+		mres, err := core.MultipleCoverage(l.Top, w.ids, p.SetSize, w.tau, groups,
+			core.MultipleOptions{Rng: t.Rng, Parallelism: width})
 		if err != nil {
 			return bfObservation{}, err
 		}
