@@ -334,10 +334,10 @@ func (a *Auditor) WithCache() *Auditor {
 // failing HIT (core.ErrTransient) is re-posted up to the policy's
 // attempt budget inside its round instead of aborting the audit. Over
 // the bare oracle each request retries on its own; over other layers
-// a retry re-posts the part of the round left unanswered (all of it
-// when a plain oracle under them fails the round). Backoff jitter
-// never draws from the audit's seed. The last call before the build
-// wins.
+// a retry re-posts the part of the round left unanswered, which for a
+// plain oracle under them starts at its lowest failing request.
+// Backoff jitter never draws from the audit's seed. The last call
+// before the build wins.
 func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
 	a.unbuilt("WithRetry")
 	a.stack.Retry = policy
@@ -718,6 +718,13 @@ func (c *SimulatedCrowd) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 // PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (c *SimulatedCrowd) PointQueryBatch(ids []ObjectID) ([][]int, error) {
 	return c.platform.PointQueryBatch(ids)
+}
+
+// TranscriptTag returns the crowd's transcript version, which journals
+// record so a journal answered under another version refuses to
+// resume (ErrTranscriptTag).
+func (c *SimulatedCrowd) TranscriptTag() string {
+	return c.platform.TranscriptTag()
 }
 
 // HITCost returns the deployment's cost model — assignments times the

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"imagecvg/internal/core"
 )
 
 // memRoundJournal keeps appended rounds in memory.
@@ -214,5 +218,107 @@ func TestAuditGroupHonorsCancellation(t *testing.T) {
 		if leaf.hits != 0 {
 			t.Errorf("%s under a cancelled context posted %d HITs, want 0", name, leaf.hits)
 		}
+	}
+}
+
+// TestFlakyPlainLeafUnderRetryAndCache: the lifted plain leaf hands
+// back the answered prefix of a failing round, so retry re-posts only
+// the rest. A plain leaf failing every 7th HIT then finishes the
+// 30-query sample round and the whole audit with the clean leaf's
+// verdicts and tasks, at every width.
+func TestFlakyPlainLeafUnderRetryAndCache(t *testing.T) {
+	ds, err := GenerateBinary(1500, 25, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := func(leaf Oracle, par int) string {
+		a := NewAuditor(leaf, 15, 15).WithSeed(5).WithParallelism(par).
+			WithRetry(RetryPolicy{MaxAttempts: 8}).WithCache()
+		res, err := a.AuditAttribute(ds.IDs(), ds.Schema(), 0)
+		if err != nil {
+			t.Fatalf("P=%d: %v", par, err)
+		}
+		return fmt.Sprintf("%+v tasks %d", res.Results, res.Tasks)
+	}
+	want := audit(struct{ Oracle }{NewTruthOracle(ds)}, 1)
+	for _, par := range []int{1, 4} {
+		if got := audit(&core.FlakyOracle{Inner: NewTruthOracle(ds), FailEvery: 7}, par); got != want {
+			t.Errorf("P=%d: flaky leaf audited %s, clean leaf %s", par, got, want)
+		}
+	}
+}
+
+// untagJournal rewrites a journal file's header to "CVGJNL01", the
+// header every journal carried before crowd transcripts were tagged.
+func untagJournal(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "CVGJNL01")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesUntaggedCrowdJournal: a crowd journal resumes under
+// its own transcript tag, and one recorded under the untagged
+// transcript fails with ErrTranscriptTag before any round runs. A
+// truth-oracle journal carries no tag and resumes as before.
+func TestResumeRefusesUntaggedCrowdJournal(t *testing.T) {
+	ds, err := GenerateBinary(600, 20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := func(t *testing.T, leaf func() Oracle, path string, resume bool) error {
+		t.Helper()
+		var (
+			jnl    *FileJournal
+			replay []RoundRecord
+			err    error
+		)
+		if resume {
+			jnl, replay, err = OpenJournal(path)
+		} else {
+			jnl, err = CreateJournal(path)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jnl.Close()
+		_, err = NewAuditor(leaf(), 10, 15).WithSeed(5).WithJournal(jnl, replay).AuditAttribute(ds.IDs(), ds.Schema(), 0)
+		return err
+	}
+	crowdLeaf := func() Oracle {
+		sc, err := NewSimulatedCrowd(ds, 3, CrowdOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	truthLeaf := func() Oracle { return NewTruthOracle(ds) }
+
+	path := filepath.Join(t.TempDir(), "crowd.jnl")
+	if err := audit(t, crowdLeaf, path, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := audit(t, crowdLeaf, path, true); err != nil {
+		t.Fatalf("resume under the same transcript: %v", err)
+	}
+	untagJournal(t, path)
+	if err := audit(t, crowdLeaf, path, true); !errors.Is(err, ErrTranscriptTag) {
+		t.Fatalf("resume of an untagged crowd journal = %v, want ErrTranscriptTag", err)
+	}
+
+	path = filepath.Join(t.TempDir(), "truth.jnl")
+	if err := audit(t, truthLeaf, path, false); err != nil {
+		t.Fatal(err)
+	}
+	if head, err := os.ReadFile(path); err != nil || string(head[:8]) != "CVGJNL01" {
+		t.Fatalf("truth journal header %q, err %v; want the untagged header", head[:8], err)
+	}
+	if err := audit(t, truthLeaf, path, true); err != nil {
+		t.Fatalf("resume of a truth journal: %v", err)
 	}
 }

@@ -535,3 +535,34 @@ func TestServeClosesStalledHeaders(t *testing.T) {
 		t.Errorf("connection closed after %v, before the %v read-header timeout", elapsed, serveReadHeaderTimeout)
 	}
 }
+
+// TestResumeRefusesUntaggedCrowdJournal: -resume of a crowd journal
+// whose header carries no transcript tag (every crowd journal written
+// before tags) exits 1 with the classified transcript error instead of
+// replaying answers the current crowd would not give.
+func TestResumeRefusesUntaggedCrowdJournal(t *testing.T) {
+	path := writeDataset(t, 300, 40)
+	jnl := t.TempDir() + "/audit.jnl"
+	audit := func(extra ...string) (int, string) {
+		args := append([]string{"-data", path, "-mode", "attribute", "-tau", "25",
+			"-n", "15", "-crowd", "-seed", "3", "-journal", jnl}, extra...)
+		var out, errOut bytes.Buffer
+		return run(args, &out, &errOut), errOut.String()
+	}
+	if code, stderr := audit(); code != 0 {
+		t.Fatalf("fresh run exit = %d, stderr: %s", code, stderr)
+	}
+	data, err := os.ReadFile(jnl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "CVGJNL01")
+	if err := os.WriteFile(jnl, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := audit("-resume")
+	if code != 1 || !strings.Contains(stderr, imagecvg.ErrTranscriptTag.Error()) {
+		t.Fatalf("resume of an untagged crowd journal: exit %d, stderr %q; want exit 1 and %q",
+			code, stderr, imagecvg.ErrTranscriptTag)
+	}
+}

@@ -94,6 +94,9 @@ var (
 	// ErrJournalMismatch marks a replay whose requests diverge from the
 	// journaled run.
 	ErrJournalMismatch = core.ErrJournalMismatch
+	// ErrTranscriptTag marks a journal recorded under a transcript tag
+	// other than the oracle's (see SimulatedCrowd.TranscriptTag).
+	ErrTranscriptTag = core.ErrTranscriptTag
 	// ErrJournalCorrupt marks journal damage beyond a recoverable torn
 	// tail.
 	ErrJournalCorrupt = journal.ErrCorrupt

@@ -30,9 +30,10 @@ type SetRequest struct {
 // Partial-prefix commits: a failing batch may return a non-nil answer
 // slice shorter than the request slice alongside its error, meaning
 // requests [0, len(answers)) committed with those answers and the rest
-// failed. Most implementations return nil answers on error (nothing
-// committed); the BudgetedOracle governor uses the prefix form to hand
-// back the answers the remaining budget could still afford, and the
+// failed. The BudgetedOracle governor uses the prefix form to hand
+// back the answers the remaining budget could still afford, and a
+// lifted plain oracle (NewBatchAdapter) returns the requests answered
+// below the lowest failing one; retry re-posts only the rest, and the
 // lockstep commit path delivers such a prefix to its tasks instead of
 // discarding paid answers.
 //
@@ -51,7 +52,9 @@ type BatchOracle interface {
 
 // batchAdapter lifts a plain Oracle into batched execution with a
 // bounded worker pool; single queries go straight to the embedded
-// oracle. The oracle must be safe for concurrent use when
+// oracle. A failing round returns the answers below its lowest
+// failing request: those ran and succeeded (see runBounded), so they
+// are committed. The oracle must be safe for concurrent use when
 // parallelism > 1.
 type batchAdapter struct {
 	Oracle
@@ -130,7 +133,7 @@ func firstError(errs []error) error {
 // SetQueryBatch implements BatchOracle.
 func (a *batchAdapter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	answers := make([]bool, len(reqs))
-	err := RunBounded(a.parallelism, len(reqs), func(i int) error {
+	k, err := runBounded(a.parallelism, len(reqs), func(i int) error {
 		var e error
 		if reqs[i].Reverse {
 			answers[i], e = a.Oracle.ReverseSetQuery(reqs[i].IDs, reqs[i].Group)
@@ -139,22 +142,16 @@ func (a *batchAdapter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		}
 		return e
 	})
-	if err != nil {
-		return nil, err
-	}
-	return answers, nil
+	return answers[:k], err
 }
 
-// PointQueryBatch implements BatchOracle.
+// PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (a *batchAdapter) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	labels := make([][]int, len(ids))
-	err := RunBounded(a.parallelism, len(ids), func(i int) error {
+	k, err := runBounded(a.parallelism, len(ids), func(i int) error {
 		var e error
 		labels[i], e = a.Oracle.PointQuery(ids[i])
 		return e
 	})
-	if err != nil {
-		return nil, err
-	}
-	return labels, nil
+	return labels[:k], err
 }

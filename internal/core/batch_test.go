@@ -194,13 +194,15 @@ func TestBatchAdapterPropagatesErrors(t *testing.T) {
 		reqs[i] = SetRequest{IDs: d.IDs(), Group: g}
 	}
 	wantErr := fmt.Errorf("wrapped: %w", ErrTransient)
+	// The answers below the failing request come back as a committed
+	// prefix: the first three sequentially, fewer than all in parallel.
 	o := &errAtOracle{fail: map[int64]error{3: wantErr}}
-	if _, err := NewBatchAdapter(o, 1).SetQueryBatch(reqs); !errors.Is(err, ErrTransient) {
-		t.Errorf("sequential adapter: err = %v, want transient", err)
+	if ans, err := NewBatchAdapter(o, 1).SetQueryBatch(reqs); !errors.Is(err, ErrTransient) || len(ans) != 3 {
+		t.Errorf("sequential adapter: %d answers, err = %v; want 3 and transient", len(ans), err)
 	}
 	o = &errAtOracle{fail: map[int64]error{3: wantErr}}
-	if _, err := NewBatchAdapter(o, 8).SetQueryBatch(reqs); !errors.Is(err, ErrTransient) {
-		t.Errorf("parallel adapter: err = %v, want transient", err)
+	if ans, err := NewBatchAdapter(o, 8).SetQueryBatch(reqs); !errors.Is(err, ErrTransient) || len(ans) >= len(reqs) {
+		t.Errorf("parallel adapter: %d answers, err = %v; want a strict prefix and transient", len(ans), err)
 	}
 }
 

@@ -79,6 +79,20 @@
 //     batches executing in request order — the property the canonical
 //     round commit leans on.
 //
+// An order-dependent oracle's answers to a request sequence are its
+// transcript, and the transcript is versioned: the oracle names its
+// version through TranscriptTagger (the crowd Platform returns
+// crowd.TranscriptTag, currently "c2"). Stack.Build records the tag on
+// a journal's round 0, which the file journal keeps in its header, and
+// the audit service records it in a crowd job's meta. A journal or job
+// recorded under another tag, or under none (everything written before
+// the tag), fails resume and service re-warm with ErrTranscriptTag
+// instead of replaying answers the oracle no longer gives. Any change
+// that moves the crowd transcript bumps the tag, regenerates the
+// goldens it moves, and re-pins the transcript digest of
+// TestTranscriptTagGuard (internal/crowd). Order-independent oracles
+// have no tag, so their journals and job metas are unchanged.
+//
 // One asymmetry remains by design: task tallies count only committed
 // queries (matching the paper's loops exactly), while speculative
 // in-flight answers a deterministic early stop discards were still
@@ -231,20 +245,25 @@
 // on which some two templates differ. NewRenderer records that mask
 // once and packs every template over it; nearest sums integer squared
 // differences over the mask, keeping ties on the lowest index, and
-// perception still draws one NormFloat64 per pixel but perturbs only
-// masked pixels. The decode stays exact: every unmasked pixel adds the
-// same term to every template's distance, and a float64 sum of at most
-// 256·255² integers has no rounding, so the integer argmin is the old
-// float L2 argmin, ties included. FuzzNearest diffs it against that
-// full float scan.
+// perception draws one NormFloat64 per masked pixel, in mask order,
+// and perturbs only those. The decode stays exact: every unmasked pixel
+// adds the same term to every template's distance, and a float64 sum
+// of at most 256·255² integers has no rounding, so the integer argmin
+// is the old float L2 argmin, ties included. FuzzNearest diffs it
+// against that full float scan. For the same reason noise on an
+// unmasked pixel could never move a perceived label, so drawing only
+// on the mask gives every label the distribution that noise on every
+// pixel would.
 //
 // The invariant all of it preserves: RNG consumption per committed HIT
-// is byte-for-byte what the allocating code drew — the scratch worker
-// draw replays rand.Perm's exact loop, perception reuses buffers but
-// never reorders NormFloat64 calls, and slip corruption keeps its
-// conditional second Intn. Any optimization that changes a draw
-// sequence changes every golden artifact downstream; the golden suite
-// and the lockstep conformance matrix pin this. The complementary
+// is byte-for-byte what the crowd transcript under the current
+// transcript tag draws — the scratch worker draw replays rand.Perm's
+// exact loop, perception reuses buffers but never reorders NormFloat64
+// calls, and slip corruption keeps its conditional second Intn. Any
+// change to a draw sequence changes every golden artifact downstream;
+// the golden suite and the lockstep conformance matrix pin this, and
+// such a change ships as its own golden-regeneration change that bumps
+// the transcript tag (see the determinism contract). The complementary
 // ownership rule: scratch slices handed to aggregators or the response
 // log are read-only for the duration of the call, and anything a
 // caller may retain (aggregated labels, batch answer slices) is

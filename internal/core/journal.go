@@ -55,6 +55,36 @@ type RoundRecord struct {
 	// (zero without a governor); replay restores it so paid HITs are
 	// never re-charged.
 	Spent BudgetSpent `json:"spent"`
+	// Transcript, on round 0 only, is the transcript tag of the leaf
+	// that answered the journal (see TranscriptTagger; "" for a leaf
+	// without one). It is not part of the record's encoding: the file
+	// codec keeps it in the journal header.
+	Transcript string `json:"-"`
+}
+
+// TranscriptTagger is implemented by an order-dependent leaf oracle
+// whose answers are a versioned transcript: the exact answers a seeded
+// deployment gives to a request sequence (the crowd Platform returns
+// crowd.TranscriptTag). Stack.Build records the leaf's tag on the
+// journal's round 0 and refuses, with ErrTranscriptTag, a replay
+// recorded under another tag: the leaf would no longer give the
+// journaled answers, so the resumed audit would drift from the run it
+// claims to continue. A leaf without the method has tag "".
+type TranscriptTagger interface {
+	TranscriptTag() string
+}
+
+// ErrTranscriptTag is returned when a journal's recorded transcript
+// tag is not the leaf oracle's: the journal was answered under an
+// older (or different) transcript and cannot be resumed.
+var ErrTranscriptTag = errors.New("core: transcript tag mismatch")
+
+// transcriptTag returns o's transcript tag, "" when it has none.
+func transcriptTag(o Oracle) string {
+	if t, ok := o.(TranscriptTagger); ok {
+		return t.TranscriptTag()
+	}
+	return ""
 }
 
 // IsPointRound reports whether the record carries a point round (an
@@ -93,6 +123,7 @@ type JournalingOracle struct {
 	inner   BatchOracle
 	journal RoundJournal
 	gov     *BudgetedOracle
+	tag     string // leaf transcript tag, recorded on round 0
 
 	mu       sync.Mutex
 	ctx      context.Context
@@ -208,6 +239,9 @@ func (j *JournalingOracle) record(rec RoundRecord, err error) error {
 	}
 	rec.Round = j.round
 	rec.ErrKind = kind
+	if rec.Round == 0 {
+		rec.Transcript = j.tag
+	}
 	if j.gov != nil {
 		rec.Spent = j.gov.Spent()
 	}

@@ -39,21 +39,29 @@ func normalizeParallelism(parallelism int) int {
 // service reuse it to fan independent trials and jobs out across
 // workers.
 func RunBounded(parallelism, n int, fn func(i int) error) error {
+	_, err := runBounded(parallelism, n, fn)
+	return err
+}
+
+// runBounded is RunBounded that also returns the lowest failing index,
+// n when no task fails. Every task below that index ran and succeeded,
+// so a lifted round's answers below it are a committed prefix.
+func runBounded(parallelism, n int, fn func(i int) error) (int, error) {
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	if parallelism > n {
 		parallelism = n
 	}
-	errs := make([]error, n)
 	if parallelism <= 1 {
 		for i := 0; i < n; i++ {
-			if errs[i] = fn(i); errs[i] != nil {
-				break
+			if err := fn(i); err != nil {
+				return i, err
 			}
 		}
-		return firstError(errs)
+		return n, nil
 	}
+	errs := make([]error, n)
 	// minFailed is the lowest failing index observed so far; only
 	// tasks above it are skipped.
 	var minFailed atomic.Int64
@@ -84,7 +92,12 @@ func RunBounded(parallelism, n int, fn func(i int) error) error {
 	}
 	close(next)
 	wg.Wait()
-	return firstError(errs)
+	for i, err := range errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return n, nil
 }
 
 // LabelSamplesBatch is the sampling phase of section 4 (Algorithm 6)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 )
 
 // Stack declares the middleware an audit's oracle runs behind; Build
@@ -78,8 +79,11 @@ func (l Layers) SetContext(ctx context.Context) {
 // native batching is lifted once, at the bottom, across Parallelism
 // goroutines, and every layer above talks to the one below only
 // through batches; retry alone wraps the leaf as given. A stack with
-// no layers returns the leaf as given. Build fails only for a nil leaf
-// under some layer or an invalid trust configuration.
+// no layers returns the leaf as given. The journal records the leaf's
+// transcript tag (TranscriptTagger) on round 0. Build fails for a nil
+// leaf under some layer, an invalid trust configuration, or, with
+// ErrTranscriptTag, Replay records from a journal recorded under a tag
+// other than the leaf's.
 func (s Stack) Build(leaf Oracle) (Layers, error) {
 	l := Layers{Top: leaf}
 	batched := s.Budget != nil || s.Journal != nil || s.Replay != nil || s.Trust != nil || s.Cache
@@ -96,7 +100,12 @@ func (s Stack) Build(leaf Oracle) (Layers, error) {
 			bo = l.Budget
 		}
 		if s.Journal != nil || s.Replay != nil {
+			tag := transcriptTag(leaf)
+			if len(s.Replay) > 0 && s.Replay[0].Transcript != tag {
+				return Layers{}, fmt.Errorf("%w: journal %q, oracle %q", ErrTranscriptTag, s.Replay[0].Transcript, tag)
+			}
 			l.Journal = NewJournalingOracle(bo, s.Journal, s.Replay, l.Budget).SetContext(s.Ctx)
+			l.Journal.tag = tag
 			bo = l.Journal
 		}
 		if s.Trust != nil {

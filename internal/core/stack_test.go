@@ -268,3 +268,62 @@ func TestClassifierNarrowsUnderEveryStack(t *testing.T) {
 		}
 	}
 }
+
+// taggedOracle is a leaf answering under a transcript tag.
+type taggedOracle struct {
+	*TruthOracle
+	tag string
+}
+
+func (o taggedOracle) TranscriptTag() string { return o.tag }
+
+// TestStackTranscriptTag: the journal records the leaf's transcript
+// tag on round 0 only, and Build refuses a replay recorded under
+// another tag (or none) with ErrTranscriptTag, before any round runs.
+// An untagged leaf keeps untagged records.
+func TestStackTranscriptTag(t *testing.T) {
+	d := binaryDataset(t, []int{0, 1, 1, 0, 1, 0, 0, 1})
+	g := female(d)
+	record := func(leaf Oracle) []RoundRecord {
+		mem := &memJournal{}
+		l, err := Stack{Journal: mem}.Build(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := l.Top.SetQuery(d.IDs()[i:i+2], g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return mem.recs
+	}
+	truth := NewTruthOracle(d)
+	tagged := record(taggedOracle{truth, "c2"})
+	if tagged[0].Transcript != "c2" || tagged[1].Transcript != "" {
+		t.Fatalf("recorded transcripts %q, %q; want \"c2\" on round 0 only", tagged[0].Transcript, tagged[1].Transcript)
+	}
+	untagged := record(truth)
+	if untagged[0].Transcript != "" {
+		t.Fatalf("untagged leaf recorded transcript %q", untagged[0].Transcript)
+	}
+
+	cases := []struct {
+		name   string
+		leaf   Oracle
+		replay []RoundRecord
+		refuse bool
+	}{
+		{"same tag", taggedOracle{truth, "c2"}, tagged, false},
+		{"untagged journal, tagged leaf", taggedOracle{truth, "c2"}, untagged, true},
+		{"older tag", taggedOracle{truth, "c3"}, tagged, true},
+		{"tagged journal, untagged leaf", truth, tagged, true},
+		{"untagged both", truth, untagged, false},
+		{"nothing to replay", taggedOracle{truth, "c3"}, nil, false},
+	}
+	for _, tc := range cases {
+		_, err := Stack{Replay: tc.replay}.Build(tc.leaf)
+		if refused := errors.Is(err, ErrTranscriptTag); refused != tc.refuse || (err != nil && !refused) {
+			t.Errorf("%s: Build = %v, want refused %v", tc.name, err, tc.refuse)
+		}
+	}
+}

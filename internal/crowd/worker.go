@@ -11,6 +11,12 @@
 // combination reproduces the regime the paper measured on MTurk
 // (about 1.4 % of raw answers wrong, virtually never surviving a
 // 3-way majority vote).
+//
+// A Platform's answers are a pure function of its Config and the
+// request sequence. That transcript is versioned by TranscriptTag,
+// which journals of crowd-backed audits and audit-service job metas
+// record: a journal or job recorded under another tag fails resume
+// with core.ErrTranscriptTag instead of drifting silently.
 package crowd
 
 import (

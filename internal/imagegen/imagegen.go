@@ -6,6 +6,11 @@
 // the rendered pixels — optionally through noise — rather than by
 // reading ground truth directly. This keeps the whole pipeline honest:
 // between the dataset and the algorithms there are only images.
+//
+// Perception (PerceiveInto) draws its noise from the worker's RNG, so
+// the number and order of its draws are part of the crowd transcript
+// that crowd.TranscriptTag versions: a change to them must bump that
+// tag. Render, which draws images written to disk, noises every pixel.
 package imagegen
 
 import (
@@ -69,13 +74,12 @@ type Renderer struct {
 	labels    [][]int // label vector per subgroup index, for decoding
 
 	// diff lists, in pixel order, the pixels on which some two
-	// templates differ; isDiff marks the same set. packed holds every
-	// template's diff pixels, template idx at
-	// packed[idx*len(diff):(idx+1)*len(diff)]. Decoding reads only
-	// these: every other pixel adds the same term to every template's
-	// distance, so it cannot move the argmin.
+	// templates differ. packed holds every template's diff pixels,
+	// template idx at packed[idx*len(diff):(idx+1)*len(diff)].
+	// Decoding and perception read only these: every other pixel adds
+	// the same term to every template's distance, so it cannot move
+	// the argmin.
 	diff   []int
-	isDiff [Size * Size]bool
 	packed []uint8
 }
 
@@ -100,10 +104,9 @@ func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 		r.labels[idx] = []int(pattern.SubgroupAt(s, idx))
 		r.templates[idx] = r.clean(r.labels[idx])
 	}
-	for i := range r.isDiff {
+	for i := 0; i < Size*Size; i++ {
 		for idx := 1; idx < m; idx++ {
 			if r.templates[idx][i] != r.templates[0][i] {
-				r.isDiff[i] = true
 				r.diff = append(r.diff, i)
 				break
 			}
@@ -206,18 +209,18 @@ func (r *Renderer) Perceive(g Glyph, noise float64, rng *rand.Rand) []int {
 	return r.PerceiveInto(g, noise, rng, nil)
 }
 
-// PerceiveInto is Perceive writing into dst (see DecodeInto). The RNG
-// draws — one NormFloat64 per pixel, in pixel order, when noise is
-// positive — are identical to Perceive's, so swapping one for the
-// other never changes a transcript. Only the pixels the decoder reads
-// are perturbed; the draws for the others are taken and discarded.
+// PerceiveInto is Perceive writing into dst (see DecodeInto). When
+// noise is positive it draws one NormFloat64 per decision pixel (the
+// diff mask, len(diff) draws), in diff order, and perturbs only those
+// pixels: every other pixel adds the same term to every template's
+// distance, so noise there could never move the decoded label, and
+// each label has exactly the distribution noise on every pixel would
+// give. The draw sequence is part of the crowd transcript
+// (crowd.TranscriptTag).
 func (r *Renderer) PerceiveInto(g Glyph, noise float64, rng *rand.Rand, dst []int) []int {
 	if noise > 0 && rng != nil {
-		for i := range g {
-			n := rng.NormFloat64()
-			if r.isDiff[i] {
-				g[i] = clamp8(float64(g[i]) + n*noise)
-			}
+		for _, i := range r.diff {
+			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
 		}
 	}
 	return r.DecodeInto(&g, dst)

@@ -363,11 +363,12 @@ func FuzzNearest(f *testing.F) {
 	})
 }
 
-// perceiveReference is PerceiveInto before decoding read only the diff
-// pixels: perturb every pixel, then scan every template.
+// perceiveReference is the plain form of PerceiveInto: perturb the
+// diff pixels of the full glyph, in diff order, then scan every
+// template with the float decoder.
 func perceiveReference(r *Renderer, g Glyph, noise float64, rng *rand.Rand) []int {
 	if noise > 0 && rng != nil {
-		for i := range g {
+		for _, i := range r.diff {
 			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
 		}
 	}
@@ -399,20 +400,29 @@ func TestPerceiveMatchesReference(t *testing.T) {
 }
 
 // TestPerceiveDrawPin pins the worker RNG contract: a noisy perception
-// draws exactly one NormFloat64 per pixel, whether or not the decoder
-// reads that pixel.
+// draws exactly one NormFloat64 per decision pixel (len(diff) draws),
+// and a noiseless one draws nothing.
 func TestPerceiveDrawPin(t *testing.T) {
-	r, err := NewRenderer(fourValue())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng, twin := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
-	r.PerceiveInto(r.templates[2], 15, rng, nil)
-	for i := 0; i < Size*Size; i++ {
-		twin.NormFloat64()
-	}
-	if got, want := rng.Int63(), twin.Int63(); got != want {
-		t.Fatalf("next Int63 after PerceiveInto = %d, want %d (256 NormFloat64 draws)", got, want)
+	for _, s := range []*pattern.Schema{fourValue(), genderRace(), fullSchema()} {
+		r, err := NewRenderer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, noise := range []float64{0, 15} {
+			draws := 0
+			if noise > 0 {
+				draws = len(r.diff)
+			}
+			rng, twin := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(21))
+			r.PerceiveInto(r.templates[len(r.templates)-1], noise, rng, nil)
+			for i := 0; i < draws; i++ {
+				twin.NormFloat64()
+			}
+			if got, want := rng.Int63(), twin.Int63(); got != want {
+				t.Fatalf("%d subgroups, noise %v: next Int63 after PerceiveInto = %d, want %d (%d NormFloat64 draws)",
+					len(r.labels), noise, got, want, draws)
+			}
+		}
 	}
 }
 

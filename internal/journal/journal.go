@@ -5,14 +5,26 @@
 // journaling middleware writes through, and the replay source a
 // resumed job loads.
 //
-// The file layout is an 8-byte magic ("CVGJNL01") followed by frames
-// of
+// The file layout is an 8-byte header followed by frames of
 //
 //	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
 //
 // where the payload is one JSON-encoded core.RoundRecord. Records are
 // self-indexing (RoundRecord.Round), so Load verifies the sequence is
 // gapless from 0.
+//
+// The header is the file magic "CVGJNL" and a 2-byte transcript field.
+// "01" (the whole header reads "CVGJNL01", the only header before
+// transcripts were tagged) marks rounds that carry no versioned
+// transcript, the rounds of an order-independent oracle such as
+// TruthOracle. Any other value is the transcript tag of the
+// order-dependent oracle that answered the rounds (crowd.TranscriptTag):
+// a lowercase letter and a lowercase letter or digit. Append stamps
+// round 0's RoundRecord.Transcript into the field, in the same write
+// and fsync as round 0's frame, and Open and Load hand it back on the
+// first record, where core.Stack.Build refuses a replay whose tag is
+// not the oracle's. The field keeps the header at 8 bytes, so a tagged
+// journal is exactly as long as an untagged one.
 //
 // Recovery draws a hard line between a torn tail and corruption. A
 // crash mid-append leaves a final frame whose header or payload is
@@ -43,8 +55,12 @@ import (
 	"imagecvg/internal/core"
 )
 
-// magic identifies a journal file and its codec version.
+// magic is the untagged header: the file magic and the transcript
+// field of a journal whose rounds carry no transcript tag.
 const magic = "CVGJNL01"
+
+// tagAt is the offset of the 2-byte transcript field in the header.
+const tagAt = 6
 
 // frameHeaderSize is the per-frame overhead: payload length + CRC.
 const frameHeaderSize = 8
@@ -65,7 +81,8 @@ type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
-	next int // expected Round of the next append
+	next int    // expected Round of the next append
+	tag  string // transcript tag in the header ("" untagged)
 }
 
 // Create starts a fresh journal at path, truncating any existing file,
@@ -96,7 +113,7 @@ func Open(path string) (*Journal, []core.RoundRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	recs, validEnd, err := readAll(f)
+	recs, validEnd, tag, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -135,7 +152,7 @@ func Open(path string) (*Journal, []core.RoundRecord, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: seek %s: %w", path, err)
 	}
-	return &Journal{f: f, path: path, next: len(recs)}, recs, nil
+	return &Journal{f: f, path: path, next: len(recs), tag: tag}, recs, nil
 }
 
 // Load reads the complete rounds of the journal at path without
@@ -146,18 +163,19 @@ func Load(path string) ([]core.RoundRecord, error) {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
 	defer f.Close()
-	recs, _, err := readAll(f)
+	recs, _, _, err := readAll(f)
 	return recs, err
 }
 
-// readAll decodes every complete frame, returning the records and the
-// byte offset just past the last complete frame. A torn tail — an
-// incomplete final frame, or a final frame failing its checksum — ends
-// the read at the preceding round; any other damage is ErrCorrupt.
-func readAll(f *os.File) ([]core.RoundRecord, int64, error) {
+// readAll decodes every complete frame, returning the records (the
+// header's transcript tag on the first), the byte offset just past the
+// last complete frame, and the tag. A torn tail — an incomplete final
+// frame, or a final frame failing its checksum — ends the read at the
+// preceding round; any other damage is ErrCorrupt.
+func readAll(f *os.File) (recs []core.RoundRecord, validEnd int64, tag string, err error) {
 	data, err := io.ReadAll(f)
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: read: %w", err)
+		return nil, 0, "", fmt.Errorf("journal: read: %w", err)
 	}
 	if len(data) < len(magic) {
 		// A zero-length file, or any strict prefix of the magic, is the
@@ -166,16 +184,25 @@ func readAll(f *os.File) ([]core.RoundRecord, int64, error) {
 		// tells Open to rewrite the header. Content that diverges from
 		// the magic is a different file format, and stays loud.
 		if bytes.Equal(data, []byte(magic)[:len(data)]) {
-			return nil, 0, nil
+			return nil, 0, "", nil
 		}
-		return nil, 0, fmt.Errorf("%w: missing or wrong magic", ErrCorrupt)
+		return nil, 0, "", fmt.Errorf("%w: missing or wrong magic", ErrCorrupt)
 	}
-	if !bytes.Equal(data[:len(magic)], []byte(magic)) {
-		return nil, 0, fmt.Errorf("%w: missing or wrong magic", ErrCorrupt)
+	tag, ok := headerTag(data[:len(magic)])
+	if !ok {
+		return nil, 0, "", fmt.Errorf("%w: missing or wrong magic", ErrCorrupt)
 	}
+	recs, off, err := readFrames(data[len(magic):])
+	if len(recs) > 0 {
+		recs[0].Transcript = tag
+	}
+	return recs, off, tag, err
+}
+
+// readFrames decodes the frames after the header; see readAll.
+func readFrames(rest []byte) ([]core.RoundRecord, int64, error) {
 	var recs []core.RoundRecord
 	off := int64(len(magic))
-	rest := data[len(magic):]
 	for len(rest) > 0 {
 		if len(rest) < frameHeaderSize {
 			return recs, off, nil // torn tail: header incomplete
@@ -212,9 +239,29 @@ func readAll(f *os.File) ([]core.RoundRecord, int64, error) {
 	return recs, off, nil
 }
 
+// headerTag reads the transcript tag out of an 8-byte header: "" for
+// the untagged header; ok is false for any other file.
+func headerTag(h []byte) (tag string, ok bool) {
+	if string(h) == magic {
+		return "", true
+	}
+	tag = string(h[tagAt:])
+	return tag, string(h[:tagAt]) == magic[:tagAt] && validTag(tag)
+}
+
+// validTag reports whether tag fits the header's transcript field: a
+// lowercase letter, then a lowercase letter or digit.
+func validTag(tag string) bool {
+	return len(tag) == len(magic)-tagAt &&
+		'a' <= tag[0] && tag[0] <= 'z' &&
+		('a' <= tag[1] && tag[1] <= 'z' || '0' <= tag[1] && tag[1] <= '9')
+}
+
 // Append implements core.RoundJournal: one frame per committed round,
 // fsynced before returning so a crash never loses an acknowledged
-// round. Records must arrive in round order.
+// round. Records must arrive in round order. When round 0's Transcript
+// differs from the header's tag, round 0 is written together with the
+// header that records it, from offset 0, under the same fsync.
 func (j *Journal) Append(rec core.RoundRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -228,15 +275,35 @@ func (j *Journal) Append(rec core.RoundRecord) error {
 	if err != nil {
 		return fmt.Errorf("journal: encode round %d: %w", rec.Round, err)
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
+	var hdr []byte
+	if rec.Round == 0 && rec.Transcript != j.tag {
+		// Round 0 directly follows the header (Create and Open leave a
+		// header-only file before it), so header and frame are one
+		// contiguous write.
+		if rec.Transcript != "" && !validTag(rec.Transcript) {
+			return fmt.Errorf("journal: transcript tag %q is not a lowercase letter and a letter or digit", rec.Transcript)
+		}
+		hdr = []byte(magic)
+		if rec.Transcript != "" {
+			hdr = append(hdr[:tagAt], rec.Transcript...)
+		}
+		if _, err := j.f.Seek(0, io.SeekStart); err != nil {
+			return fmt.Errorf("journal: seek to header: %w", err)
+		}
+	}
+	frame := make([]byte, len(hdr)+frameHeaderSize+len(payload))
+	n := copy(frame, hdr)
+	binary.LittleEndian.PutUint32(frame[n:n+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[n+4:n+8], crc32.ChecksumIEEE(payload))
+	copy(frame[n+frameHeaderSize:], payload)
 	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: write round %d: %w", rec.Round, err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync round %d: %w", rec.Round, err)
+	}
+	if rec.Round == 0 {
+		j.tag = rec.Transcript
 	}
 	j.next++
 	return nil

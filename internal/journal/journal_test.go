@@ -310,3 +310,76 @@ func TestJournalAppendSequence(t *testing.T) {
 		t.Error("append to closed journal succeeded")
 	}
 }
+
+// TestJournalTranscriptTag: round 0's Transcript lands in the header's
+// transcript field without lengthening the file, comes back on the
+// first record from Load and Open, survives appends after a resume,
+// and an untagged round 0 leaves the header "CVGJNL01". A tag that
+// does not fit the field is refused.
+func TestJournalTranscriptTag(t *testing.T) {
+	dir := t.TempDir()
+	tagged := sampleRecords()
+	tagged[0].Transcript = "c2"
+	taggedPath, plainPath := filepath.Join(dir, "tagged.jnl"), filepath.Join(dir, "plain.jnl")
+	writeJournal(t, taggedPath, tagged)
+	writeJournal(t, plainPath, sampleRecords())
+
+	taggedBytes, err := os.ReadFile(taggedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainBytes, err := os.ReadFile(plainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(taggedBytes[:len(magic)]); got != "CVGJNLc2" {
+		t.Fatalf("tagged header %q, want %q", got, "CVGJNLc2")
+	}
+	if got := string(plainBytes[:len(magic)]); got != magic {
+		t.Fatalf("untagged header %q, want %q", got, magic)
+	}
+	if string(taggedBytes[len(magic):]) != string(plainBytes[len(magic):]) {
+		t.Fatal("the tag changed bytes past the header")
+	}
+
+	recs, err := Load(taggedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs[0].Transcript != "c2" || !recordsEqual(recs, tagged) {
+		t.Fatalf("Load: first record transcript %q, records equal %v", recs[0].Transcript, recordsEqual(recs, tagged))
+	}
+	if plain, err := Load(plainPath); err != nil || plain[0].Transcript != "" {
+		t.Fatalf("untagged Load: transcript %q, err %v", plain[0].Transcript, err)
+	}
+
+	j, replay, err := Open(taggedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay[0].Transcript != "c2" {
+		t.Fatalf("Open: first record transcript %q", replay[0].Transcript)
+	}
+	if err := j.Append(core.RoundRecord{Round: len(replay), Points: []dataset.ObjectID{1}, PointAnswers: [][]int{{0}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := Load(taggedPath); err != nil || len(recs) != len(tagged)+1 || recs[0].Transcript != "c2" {
+		t.Fatalf("after resume+append: %d records, transcript %q, err %v", len(recs), recs[0].Transcript, err)
+	}
+
+	for _, bad := range []string{"c", "c22", "C2", "2c", "01"} {
+		j, err := Create(filepath.Join(dir, "bad.jnl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := sampleRecords()[0]
+		rec.Transcript = bad
+		if err := j.Append(rec); err == nil {
+			t.Errorf("Append with transcript tag %q: want error", bad)
+		}
+		j.Close()
+	}
+}

@@ -6,7 +6,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // boundedJob is a small valid job the admission cases push one field
@@ -111,4 +115,45 @@ func FuzzJobConfig(f *testing.F) {
 			t.Fatalf("accepted out-of-bounds config %+v", cfg)
 		}
 	})
+}
+
+// TestDatasetPathMustBeRegularFile: a dataset path naming a FIFO or a
+// directory is refused at admission with ErrInvalidConfig. Admitted,
+// the FIFO job parks its worker in the dataset load until some writer
+// opens the FIFO; the test waits 2 s for that, then opens it itself so
+// the engine can close.
+func TestDatasetPathMustBeRegularFile(t *testing.T) {
+	dir := t.TempDir()
+	fifo := filepath.Join(dir, "dataset.fifo")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	e := newTestEngine(t, Options{Workers: 1})
+	for _, path := range []string{fifo, dir} {
+		cfg := boundedJob()
+		cfg.Dataset = DatasetSpec{Path: path}
+		id, err := e.Submit(cfg)
+		if errors.Is(err, ErrInvalidConfig) {
+			continue
+		}
+		if err != nil {
+			t.Errorf("dataset path %s: Submit = %v, want ErrInvalidConfig", path, err)
+			continue
+		}
+		done := make(chan JobStatus, 1)
+		go func() {
+			st, _ := e.Wait(id)
+			done <- st
+		}()
+		select {
+		case st := <-done:
+			t.Errorf("dataset path %s admitted (job %s: %s), want ErrInvalidConfig", path, st.State, st.Error)
+		case <-time.After(2 * time.Second):
+			t.Errorf("dataset path %s admitted and parked the job worker for 2s, want ErrInvalidConfig", path)
+			if f, err := os.OpenFile(fifo, os.O_WRONLY, 0); err == nil {
+				f.Close()
+			}
+			<-done
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"imagecvg/internal/core"
+	"imagecvg/internal/crowd"
 	"imagecvg/internal/journal"
 )
 
@@ -66,9 +67,10 @@ type tenantSpent struct {
 
 // job is the engine-side runtime state of one audit job.
 type job struct {
-	id   string
-	cfg  JobConfig
-	caps BudgetCaps
+	id         string
+	cfg        JobConfig
+	caps       BudgetCaps
+	transcript string // crowd transcript tag the job runs under
 
 	mu         sync.Mutex
 	state      JobState
@@ -106,14 +108,15 @@ func (j *job) statusLocked() JobStatus {
 // metaLocked builds the persisted form; callers hold j.mu.
 func (j *job) metaLocked() jobMeta {
 	return jobMeta{
-		ID:       j.id,
-		Config:   j.cfg,
-		Budget:   j.caps,
-		State:    j.state,
-		Error:    j.errMsg,
-		Result:   j.result,
-		Rounds:   j.rounds,
-		Replayed: j.replayed,
+		ID:         j.id,
+		Config:     j.cfg,
+		Transcript: j.transcript,
+		Budget:     j.caps,
+		State:      j.state,
+		Error:      j.errMsg,
+		Result:     j.result,
+		Rounds:     j.rounds,
+		Replayed:   j.replayed,
 	}
 }
 
@@ -213,16 +216,17 @@ func (e *Engine) recover() error {
 			e.nextID = n + 1
 		}
 		j := &job{
-			id:       meta.ID,
-			cfg:      meta.Config,
-			caps:     meta.Budget,
-			state:    meta.State,
-			errMsg:   meta.Error,
-			result:   meta.Result,
-			rounds:   meta.Rounds,
-			replayed: meta.Replayed,
-			subs:     make(map[int]chan Event),
-			done:     make(chan struct{}),
+			id:         meta.ID,
+			cfg:        meta.Config,
+			caps:       meta.Budget,
+			transcript: meta.Transcript,
+			state:      meta.State,
+			errMsg:     meta.Error,
+			result:     meta.Result,
+			rounds:     meta.Rounds,
+			replayed:   meta.Replayed,
+			subs:       make(map[int]chan Event),
+			done:       make(chan struct{}),
 		}
 		if meta.Result != nil {
 			j.spent = meta.Result.Spent
@@ -326,6 +330,9 @@ func (e *Engine) Submit(cfg JobConfig) (string, error) {
 		state: StateQueued,
 		subs:  make(map[int]chan Event),
 		done:  make(chan struct{}),
+	}
+	if cfg.Oracle == "crowd" {
+		j.transcript = crowd.TranscriptTag
 	}
 	if err := e.writeMeta(j.metaLocked()); err != nil {
 		return "", err

@@ -10,10 +10,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"imagecvg/internal/core"
+	"imagecvg/internal/crowd"
 	"imagecvg/internal/journal"
 )
 
@@ -464,6 +467,110 @@ func TestSubmitValidation(t *testing.T) {
 			}
 			if !errors.Is(err, ErrInvalidConfig) {
 				t.Errorf("validation error %v does not wrap ErrInvalidConfig", err)
+			}
+		})
+	}
+}
+
+// TestRestartRefusesUntaggedCrowdJob parks a crowd job mid-run, then
+// restarts the engine over the same data directory. Untouched, the job
+// resumes under its recorded transcript tag and finishes. When its meta
+// or its journal header carries no tag, as everything written before
+// crowd transcripts were tagged does, the resumed job fails with the
+// transcript error instead of re-warming a platform that no longer
+// gives the journaled answers.
+func TestRestartRefusesUntaggedCrowdJob(t *testing.T) {
+	cfg := smallJob(7)
+	cfg.Oracle = "crowd"
+	cfg.Dataset.N, cfg.Dataset.Minority, cfg.Tau = 150, 12, 8
+	untagMeta := func(t *testing.T, dir, id string) {
+		path := filepath.Join(dir, id+".job.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta jobMeta
+		if err := unmarshalStrict(data, &meta); err != nil {
+			t.Fatal(err)
+		}
+		if meta.Transcript != crowd.TranscriptTag {
+			t.Fatalf("crowd job meta transcript %q, want %q", meta.Transcript, crowd.TranscriptTag)
+		}
+		meta.Transcript = ""
+		if data, err = marshalMeta(meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	untagJournal := func(t *testing.T, dir, id string) {
+		path := filepath.Join(dir, id+".jnl")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data[:8]) != "CVGJNL"+crowd.TranscriptTag {
+			t.Fatalf("crowd job journal header %q", data[:8])
+		}
+		copy(data, "CVGJNL01")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name   string
+		meta   bool
+		jnl    bool
+		refuse bool
+	}{
+		{"tagged", false, false, false},
+		{"old job", true, true, true},
+		{"untagged journal", false, true, true},
+		{"untagged meta", true, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e1 := newTestEngine(t, Options{DataDir: dir, Workers: 1, CrashAfterRounds: 2})
+			id, err := e1.Submit(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(60 * time.Second)
+			for {
+				st, err := e1.Status(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.State.Terminal() {
+					t.Fatalf("job reached %s before the injected crash", st.State)
+				}
+				if st.State == StateQueued && st.Rounds >= 2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("job never parked after crash injection")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.meta {
+				untagMeta(t, dir, id)
+			}
+			if tc.jnl {
+				untagJournal(t, dir, id)
+			}
+
+			e2 := newTestEngine(t, Options{DataDir: dir, Workers: 1})
+			st := waitTerminal(t, e2, id)
+			switch {
+			case !tc.refuse && st.State != StateDone:
+				t.Fatalf("tagged job resumed to %s (%s), want done", st.State, st.Error)
+			case tc.refuse && (st.State != StateFailed || !strings.Contains(st.Error, core.ErrTranscriptTag.Error())):
+				t.Fatalf("job resumed to %s (%q), want failed with %q", st.State, st.Error, core.ErrTranscriptTag)
 			}
 		})
 	}

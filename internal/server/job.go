@@ -26,6 +26,7 @@ package server
 
 import (
 	"fmt"
+	"os"
 
 	"imagecvg/internal/core"
 	"imagecvg/internal/pattern"
@@ -155,7 +156,11 @@ func (c *JobConfig) normalize() error {
 	default:
 		return badConfig("unknown mode %q", c.Mode)
 	}
-	if c.Dataset.Path == "" {
+	if c.Dataset.Path != "" {
+		if err := regularFile(c.Dataset.Path); err != nil {
+			return badConfig("dataset path: %v", err)
+		}
+	} else {
 		if c.Dataset.N <= 0 || c.Dataset.N > maxDatasetN {
 			return badConfig("dataset needs a path or an n in [1, %d], got %d", maxDatasetN, c.Dataset.N)
 		}
@@ -204,6 +209,20 @@ func (c *JobConfig) normalize() error {
 	}
 	if c.HITDelayMicros < 0 || c.HITDelayMicros > maxHITDelayMicros {
 		return badConfig("hit delay must be in [0, %d] microseconds, got %d", maxHITDelayMicros, c.HITDelayMicros)
+	}
+	return nil
+}
+
+// regularFile refuses a dataset path that is not a regular file: a
+// FIFO, device or directory would block or wedge the job worker that
+// loads it. Stat never opens the file, so a FIFO cannot block here.
+func regularFile(path string) error {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	if !fi.Mode().IsRegular() {
+		return fmt.Errorf("%s is not a regular file (mode %v)", path, fi.Mode().Type())
 	}
 	return nil
 }
@@ -357,14 +376,18 @@ type Event struct {
 // <id>.job.json beside the round journal <id>.jnl. The meta is only
 // rewritten at submit and at terminal transitions, so a job that was
 // running when the process died is found non-terminal on restart and
-// resumed from its journal.
+// resumed from its journal. Transcript is the crowd transcript tag
+// (crowd.TranscriptTag) a crowd-backed job runs under, empty for a
+// truth-oracle job; a crowd job whose meta names another tag, or none,
+// fails instead of resuming.
 type jobMeta struct {
-	ID       string     `json:"id"`
-	Config   JobConfig  `json:"config"`
-	Budget   BudgetCaps `json:"budget"`
-	State    JobState   `json:"state"`
-	Error    string     `json:"error,omitempty"`
-	Result   *JobResult `json:"result,omitempty"`
-	Rounds   int        `json:"rounds,omitempty"`
-	Replayed int        `json:"replayed,omitempty"`
+	ID         string     `json:"id"`
+	Config     JobConfig  `json:"config"`
+	Transcript string     `json:"transcript,omitempty"`
+	Budget     BudgetCaps `json:"budget"`
+	State      JobState   `json:"state"`
+	Error      string     `json:"error,omitempty"`
+	Result     *JobResult `json:"result,omitempty"`
+	Rounds     int        `json:"rounds,omitempty"`
+	Replayed   int        `json:"replayed,omitempty"`
 }

@@ -59,24 +59,18 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 	var (
 		oracle core.Oracle
 		costFn core.CostFunc
+		warm   *crowd.Platform // re-warmed once Build has checked the journal's tag
 	)
 	switch cfg.Oracle {
 	case "crowd":
+		if j.transcript != crowd.TranscriptTag {
+			return nil, fmt.Errorf("%w: job %q, crowd %q", core.ErrTranscriptTag, j.transcript, crowd.TranscriptTag)
+		}
 		p, perr := newPlatform(ds, cfg)
 		if perr != nil {
 			return nil, perr
 		}
-		// The platform is stateful (worker draws advance an RNG per
-		// HIT) but a pure function of (seed, request sequence), so
-		// re-posting the journaled answered prefixes reconstructs its
-		// state — RNG stream and cost ledger — exactly. Replay then
-		// answers those rounds from the journal without re-charging,
-		// and live rounds continue byte-identical to an uninterrupted
-		// run.
-		if werr := warmPlatform(p, replay); werr != nil {
-			return nil, werr
-		}
-		oracle, costFn = p, p.HITCost()
+		oracle, costFn, warm = p, p.HITCost(), p
 	default: // "truth"
 		var o core.Oracle = core.NewTruthOracle(ds)
 		if cfg.HITDelayMicros > 0 {
@@ -97,6 +91,19 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 	layers, err := stack.Build(oracle)
 	if err != nil {
 		return nil, err
+	}
+	if warm != nil {
+		// The platform is stateful (worker draws advance an RNG per
+		// HIT) but a pure function of (seed, request sequence), so
+		// re-posting the journaled answered prefixes reconstructs its
+		// state — RNG stream and cost ledger — exactly. Build has
+		// already refused a journal recorded under another transcript
+		// tag. Replay then answers those rounds from the journal
+		// without re-charging, and live rounds continue byte-identical
+		// to an uninterrupted run.
+		if werr := warmPlatform(warm, replay); werr != nil {
+			return nil, werr
+		}
 	}
 	jo, gov := layers.Journal, layers.Budget
 	j.mu.Lock()
@@ -161,6 +168,9 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 // the same construction as the root GenerateBinary.
 func buildDataset(spec DatasetSpec) (*dataset.Dataset, error) {
 	if spec.Path != "" {
+		if err := regularFile(spec.Path); err != nil {
+			return nil, fmt.Errorf("server: dataset: %w", err)
+		}
 		return dataset.LoadJSON(spec.Path)
 	}
 	return dataset.BinaryWithMinority(spec.N, spec.Minority, rand.New(rand.NewSource(spec.Seed)))
