@@ -297,7 +297,7 @@ func (a *Auditor) WithSeed(seed int64) *Auditor {
 // WithParallelism bounds the pool that lifts an oracle without native
 // batching: every audit runs in lockstep rounds — concurrent audits
 // park their queries, and each round commits to the oracle as one
-// batch in canonical (super-group, member, query-sequence) order — and
+// batch in canonical (query sequence, task index) order — and
 // a non-batching oracle answers a round's queries across up to
 // parallelism goroutines. Values <= 1 mean width 1. Round composition
 // never depends on the width, so verdicts, task counts and spend are

@@ -252,11 +252,17 @@ func TestFlakyPlainLeafUnderRetryAndCache(t *testing.T) {
 // header every journal carried before crowd transcripts were tagged.
 func untagJournal(t *testing.T, path string) {
 	t.Helper()
+	retagJournal(t, path, "CVGJNL01")
+}
+
+// retagJournal rewrites a journal file's 8-byte header.
+func retagJournal(t *testing.T, path, header string) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(data, "CVGJNL01")
+	copy(data, header)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -320,5 +326,100 @@ func TestResumeRefusesUntaggedCrowdJournal(t *testing.T) {
 	}
 	if err := audit(t, truthLeaf, path, true); err != nil {
 		t.Fatalf("resume of a truth journal: %v", err)
+	}
+}
+
+// TestResumeRefusesC2CrowdJournal: a crowd journal recorded under
+// transcript "c2" — one-query rounds per task, probes per set round —
+// fails resume with ErrTranscriptTag before any HIT is posted.
+func TestResumeRefusesC2CrowdJournal(t *testing.T) {
+	ds, err := GenerateBinary(600, 20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "crowd.jnl")
+	jnl, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NewSimulatedCrowd(ds, 3, CrowdOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAuditor(sc, 10, 15).WithSeed(5).WithJournal(jnl, nil).AuditAttribute(ds.IDs(), ds.Schema(), 0); err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+	retagJournal(t, path, "CVGJNLc2")
+
+	jnl, replay, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	fresh, err := NewSimulatedCrowd(ds, 3, CrowdOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewAuditor(fresh, 10, 15).WithSeed(5).WithJournal(jnl, replay).AuditAttribute(ds.IDs(), ds.Schema(), 0)
+	if !errors.Is(err, ErrTranscriptTag) {
+		t.Fatalf("resume of a c2 crowd journal = %v, want ErrTranscriptTag", err)
+	}
+	if hits := fresh.Cost().TotalHITs; hits != 0 {
+		t.Errorf("refused resume posted %d live HITs, want 0", hits)
+	}
+}
+
+// TestResumeRefusesParentRoundLayout: a truth journal carries no
+// transcript tag, so a journal written in the one-query-per-task round
+// layout — hand-written here by splitting every recorded window round
+// into one-query rounds — must fail resume on its first round with
+// ErrJournalMismatch, and post no live HIT.
+func TestResumeRefusesParentRoundLayout(t *testing.T) {
+	ds, err := GenerateBinary(600, 20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := FemaleGroup(ds.Schema())
+	mem := &memRoundJournal{}
+	if _, err := NewAuditor(NewTruthOracle(ds), 10, 15).WithJournal(mem, nil).AuditGroup(ds.IDs(), g); err != nil {
+		t.Fatal(err)
+	}
+	if len(mem.recs) == 0 || len(mem.recs[0].Sets) < 2 {
+		t.Fatalf("first recorded round %+v, want a window of several set queries", mem.recs)
+	}
+
+	path := filepath.Join(t.TempDir(), "truth.jnl")
+	jnl, err := CreateJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	for _, rec := range mem.recs {
+		for i := range rec.Sets {
+			one := RoundRecord{Round: round, Sets: rec.Sets[i : i+1], SetAnswers: rec.SetAnswers[i : i+1]}
+			if err := jnl.Append(one); err != nil {
+				t.Fatal(err)
+			}
+			round++
+		}
+	}
+	jnl.Close()
+
+	jnl, replay, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if len(replay) != round {
+		t.Fatalf("reopened %d rounds, wrote %d", len(replay), round)
+	}
+	truth := NewTruthOracle(ds)
+	_, err = NewAuditor(truth, 10, 15).WithJournal(jnl, replay).AuditGroup(ds.IDs(), g)
+	if !errors.Is(err, ErrJournalMismatch) {
+		t.Fatalf("resume of a one-query-round journal = %v, want ErrJournalMismatch", err)
+	}
+	if hits := truth.Tasks().Total(); hits != 0 {
+		t.Errorf("refused resume posted %d live HITs, want 0", hits)
 	}
 }

@@ -90,9 +90,14 @@
 // # Determinism contract
 //
 // Every audit runs on one engine, the lockstep scheduler: concurrent
-// audits advance in virtual rounds whose queries commit to the oracle
-// as one batch in canonical (super-group, member, query-sequence)
-// order. WithParallelism only sizes the pool that answers a round's
+// audits advance in rounds whose queries commit to the oracle as one
+// batch in canonical (query sequence, task index) order, the task
+// index encoding (super-group, member). A Group-Coverage task posts,
+// per round, the prefix of its FIFO queue the paper's loop is certain
+// to ask next, and a round posts the shortest such window's length
+// from every task, so it is exactly that many one-query rounds laid
+// end to end: the oracle sees the same query stream, in far fewer
+// rounds. WithParallelism only sizes the pool that answers a round's
 // queries when the oracle has no native batching. So:
 //
 //   - Order-INDEPENDENT oracles — TruthOracle, any bridge whose answer

@@ -161,8 +161,8 @@ func (a *Auditor) AuditGroupTraced(ids []ObjectID, g Group) (res GroupResult, tr
 // AuditSampled runs the statistical baseline: uniform point-query
 // sampling with a Hoeffding confidence interval at level 1-delta and a
 // budget of maxTasks queries. Unlike AuditGroup it may return
-// undecided, and its verdicts are only probabilistic. Like AuditGroup
-// it runs one query per round.
+// undecided, and its verdicts are only probabilistic. It runs one
+// query per round.
 func (a *Auditor) AuditSampled(ids []ObjectID, g Group, delta float64, maxTasks int) (res SampledResult, err error) {
 	err = a.runTask(func(o Oracle) (err error) {
 		res, err = core.SampledCoverage(o, ids, a.tau, delta, maxTasks, g, rand.New(rand.NewSource(a.seed)))

@@ -39,9 +39,14 @@
 //     Intersectional-Coverage: the sample posts as one point-query
 //     round (parallel.go), then the super-group audits, the
 //     covered-penalty re-audits and the resolution re-audits run as
-//     concurrent tasks that park their queries; each virtual round
-//     commits as one BatchOracle batch in canonical (super-group,
-//     member, query-sequence) order.
+//     concurrent tasks. Each Group-Coverage task parks a window per
+//     round: the FIFO prefix the paper's loop is certain to pop next
+//     (at most tau - cnt entries, stopping at the first right child
+//     whose left sibling is still unanswered), committed in queue
+//     order. A round posts the first w entries of every window, w the
+//     shortest, as one BatchOracle batch in canonical (query sequence,
+//     task index) order, the task index encoding (super-group,
+//     member); the unposted tails go back to their tasks unpaid.
 //   - Classifier-Coverage (classifiercoverage.go) posts the precision
 //     sample as one point-query round, the Label phase as bounded
 //     rounds of max(1, tau - verified) point queries whose answers
@@ -62,10 +67,17 @@
 //     the round and splices the answers, so a partial prefix a budget
 //     governor already committed — and paid — is never charged twice.
 //   - GroupCoverageRounds (rounds.go) issues each tree level of a
-//     single Group-Coverage audit as one SetQueryBatch round.
+//     single Group-Coverage audit as one SetQueryBatch round; it is a
+//     different algorithm (1+ceil(log2 n) rounds, extra HITs), not the
+//     windowed task above.
 //
 // Round composition is a pure function of committed answers — never of
-// Parallelism or of goroutine scheduling. That is the determinism
+// Parallelism or of goroutine scheduling. Every live task posts one
+// query per query sequence number, so a round of width w is exactly w
+// one-query rounds laid end to end: the oracle sees the query stream
+// of the one-query-per-round schedule (the same canonical order,
+// (query sequence, task index)), and a budget governor's prefix
+// admission stops at the same point of it. That is the determinism
 // contract:
 //
 //   - order-independent oracles (TruthOracle, stateless crowd bridges,
@@ -82,7 +94,7 @@
 // An order-dependent oracle's answers to a request sequence are its
 // transcript, and the transcript is versioned: the oracle names its
 // version through TranscriptTagger (the crowd Platform returns
-// crowd.TranscriptTag, currently "c2"). Stack.Build records the tag on
+// crowd.TranscriptTag, currently "c3"). Stack.Build records the tag on
 // a journal's round 0, which the file journal keeps in its header, and
 // the audit service records it in a crowd job's meta. A journal or job
 // recorded under another tag, or under none (everything written before
@@ -90,8 +102,13 @@
 // instead of replaying answers the oracle no longer gives. Any change
 // that moves the crowd transcript bumps the tag, regenerates the
 // goldens it moves, and re-pins the transcript digest of
-// TestTranscriptTagGuard (internal/crowd). Order-independent oracles
-// have no tag, so their journals and job metas are unchanged.
+// TestTranscriptTagGuard (internal/crowd) if the digest moved. A change
+// of round layout moves it too: the journal records whole rounds, so
+// "c3" marks the windowed layout, whose rounds a "c2" journal (one
+// query per task per round) no longer matches. Order-independent
+// oracles have no tag, so their journals and job metas keep the
+// untagged header; a truth journal of the older layout fails resume
+// on its first round with ErrJournalMismatch instead.
 //
 // One asymmetry remains by design: task tallies count only committed
 // queries (matching the paper's loops exactly), while speculative
@@ -146,7 +163,7 @@
 // Cancellation rides the same round boundaries: MultipleOptions.Ctx /
 // ClassifierOptions.Ctx thread a context.Context through the engine,
 // and a cancelled context fails the next round before it reaches the
-// oracle — checked in the lockstep commit path (which one-query
+// oracle — checked in the lockstep commit path (which single
 // Group-Coverage and Base-Coverage audits also run on, as one-task
 // lockstep runs via RunTask) and before each classifier round; the
 // Stack's journal and retry layers check Stack.Ctx, the retry backoff
@@ -184,9 +201,11 @@
 //
 //   - it appends one gold-standard probe HIT (a singleton set query
 //     whose true answer is known from ground truth, built by
-//     GoldProbes) to every ProbeEvery-th committed set round, cycling a
-//     fixed battery on a schedule that is a pure function of the
-//     committed set-round count — never of the pool width or the feed;
+//     GoldProbes) per ProbeEvery committed set HITs, after the
+//     requests of the set round that passes each mark, cycling a fixed
+//     battery on a schedule that is a pure function of the committed
+//     set-HIT count — never of the pool width, the round width or the
+//     feed — so probe density per HIT holds however wide rounds get;
 //   - it consumes the AnswerFeed's delta after each committed round and
 //     scores every worker's raw answers with a sequential likelihood
 //     ratio (SPRT): probe answers score against the gold truth,
@@ -210,10 +229,9 @@
 // not journaled, so exact score restoration holds for in-process
 // resume; a fresh process replays verdicts and the probe schedule
 // exactly but accumulates trust evidence only from live rounds). A
-// budget governor below may deny
-// the appended probe alone; the middleware swallows that denial when
-// every caller request was answered, so probing degrades before the
-// audit does. Feed starvation (no recorded answers) degrades scoring,
+// budget governor below may deny some or all of the trailing probes
+// alone; the middleware swallows that denial when every caller request
+// was answered, so probing degrades before the audit does. Feed starvation (no recorded answers) degrades scoring,
 // never determinism.
 //
 // # Performance
@@ -227,12 +245,21 @@
 //	go tool pprof p/audit-throughput.mem.pprof
 //	go test -bench AuditThroughput -benchmem .    # the gate CI watches
 //
+// Rounds are the unit of fixed cost — a scheduler hand-off, a
+// journal record and its fsync, a trust feed read — so the engine
+// makes them wide: Group-Coverage tasks post their certain FIFO prefix
+// per round instead of one query, which on the crowd-audit benchmark
+// shape (perfbench) takes Multiple-Coverage from about 4,600 rounds of
+// 2.4 HITs to 360 rounds of 30, with the same HITs.
+//
 // What is pooled, and where: the lockstep scheduler (lockstep.go)
 // ping-pongs the parked-round slice through a spare backing array,
-// reuses the set/point split, the SetRequest round and the point-id
-// round across commits, and recycles one lockstepQuery slot per task
-// (safe because a parked task blocks until its round delivers, so at
-// most one query per task is ever in flight). The caching oracle
+// reuses the set-task list, the SetRequest round and the point-id
+// round across commits, and recycles one parking slot and answer
+// buffer per task (safe because a parked task blocks until its round
+// delivers, so at most one window per task is ever in flight);
+// Group-Coverage reuses its window's request slice across rounds, and
+// the trust layer its probe-augmented round. The caching oracle
 // (cache.go) builds keys into reused byte scratch and looks them up
 // via Go's allocation-free map[string(bytes)] form, materializing a
 // string only when a key is stored; batch rounds steal the scratch for

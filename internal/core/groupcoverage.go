@@ -115,10 +115,84 @@ func GroupCoverageOpt(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Gr
 		q.push(&node{b: i, e: end})
 	}
 
+	// The loop commits answers in queue order, one window at a time.
+	// A window is the FIFO prefix the paper's loop is certain to pop
+	// next whatever the answers: at most tau - cnt entries, since one
+	// committed answer raises cnt by at most 1, and never past a right
+	// child whose left sibling is still unanswered, since that left
+	// sibling's "no" would remove it. Under these rules no posted HIT
+	// is ever discarded, and the committed tasks equal the paper's
+	// loop. Only the lockstep facade posts windows longer than one.
+	win, limit := windowOracle(&oneQueryWindow{o: o}), 1
+	if wo, ok := o.(windowOracle); ok {
+		win, limit = wo, tau
+	}
+	var reqs []SetRequest
 	cnt := 0
 	for !q.empty() {
-		t := q.pop()
-		ans, err := o.SetQuery(ids[t.b:t.e], g)
+		reqs = reqs[:0]
+		for t := q.front(); t != nil && len(reqs) < min(tau-cnt, limit); t = q.next(t) {
+			if !opts.DisableSiblingInference && t.parent != nil && t == t.parent.right && t.parent.left.inQueue {
+				break
+			}
+			reqs = append(reqs, SetRequest{IDs: ids[t.b:t.e], Group: g})
+		}
+		answers, err := win.setWindow(reqs)
+		for _, ans := range answers {
+			t := q.pop()
+			res.Tasks++
+			if opts.Trace != nil {
+				opts.Trace.record(t, ans, false)
+			}
+			if !ans {
+				// Prune the subtree (lines 9, 11). For a left child,
+				// the right sibling must answer yes (the parent did),
+				// so claim that answer without issuing a task (lines
+				// 12-13) — unless the ablation disables the inference.
+				if t.parent == nil || opts.DisableSiblingInference {
+					continue
+				}
+				sib := t.parent.right
+				if t != t.parent.left || sib == nil || !sib.inQueue {
+					continue
+				}
+				q.remove(sib)
+				t = sib
+				if opts.Trace != nil {
+					opts.Trace.record(t, true, true)
+				}
+			}
+			// t answered (or is implied to answer) yes.
+			switch {
+			case opts.CountSingletonsOnly:
+				// Ablation: only definite individuals count.
+				if t.size() == 1 {
+					cnt++
+				}
+			case t.parent == nil:
+				cnt++
+			case t.parent.checked:
+				// Lines 14-15: the parent already contributed one
+				// member to the bound; a second yes-child proves
+				// another.
+				cnt++
+			default:
+				t.parent.checked = true
+			}
+
+			if cnt >= tau {
+				res.Covered = true
+				res.Count = cnt
+				return res, nil
+			}
+			if t.size() > 1 {
+				mid := (t.b + t.e) / 2
+				t.left = &node{b: t.b, e: mid, parent: t}
+				t.right = &node{b: mid, e: t.e, parent: t}
+				q.push(t.left)
+				q.push(t.right)
+			}
+		}
 		if err != nil {
 			if errors.Is(err, ErrBudgetExhausted) {
 				// A budget cap is a configured stopping rule, not a
@@ -129,64 +203,30 @@ func GroupCoverageOpt(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Gr
 			}
 			return res, err
 		}
-		res.Tasks++
-		if opts.Trace != nil {
-			opts.Trace.record(t, ans, false)
-		}
-
-		if !ans {
-			// Prune the subtree (lines 9, 11). For a left child, the
-			// right sibling must answer yes (the parent did), so claim
-			// that answer without issuing a task (lines 12-13) —
-			// unless the ablation disables the inference.
-			if t.parent == nil || opts.DisableSiblingInference {
-				continue
-			}
-			sib := t.parent.right
-			if t != t.parent.left || sib == nil || !sib.inQueue {
-				continue
-			}
-			q.remove(sib)
-			t = sib
-			if opts.Trace != nil {
-				opts.Trace.record(t, true, true)
-			}
-		}
-		// t answered (or is implied to answer) yes.
-		switch {
-		case opts.CountSingletonsOnly:
-			// Ablation: only definite individuals count.
-			if t.size() == 1 {
-				cnt++
-			}
-		case t.parent == nil:
-			cnt++
-		case t.parent.checked:
-			// Lines 14-15: the parent already contributed one member
-			// to the bound; a second yes-child proves another.
-			cnt++
-		default:
-			t.parent.checked = true
-		}
-
-		if cnt >= tau {
-			res.Covered = true
-			res.Count = cnt
-			return res, nil
-		}
-		if t.size() > 1 {
-			mid := (t.b + t.e) / 2
-			t.left = &node{b: t.b, e: mid, parent: t}
-			t.right = &node{b: mid, e: t.e, parent: t}
-			q.push(t.left)
-			q.push(t.right)
-		}
 	}
 	// Queue drained below tau: every yes reached a singleton, so cnt
 	// is the exact group size (Lemma 3.1).
 	res.Count = cnt
 	res.Exact = true
 	return res, nil
+}
+
+// oneQueryWindow posts a window's first entry alone, as one SetQuery:
+// the windows of one Group-Coverage uses over any oracle but the
+// lockstep facade.
+type oneQueryWindow struct {
+	o   Oracle
+	ans [1]bool
+}
+
+// setWindow implements windowOracle.
+func (w *oneQueryWindow) setWindow(reqs []SetRequest) ([]bool, error) {
+	ans, err := w.o.SetQuery(reqs[0].IDs, reqs[0].Group)
+	if err != nil {
+		return nil, err
+	}
+	w.ans[0] = ans
+	return w.ans[:], nil
 }
 
 // BaseCoverage is Algorithm 7, the baseline the paper compares

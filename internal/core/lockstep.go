@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,20 +16,32 @@ import (
 // crowd Platform consumes its RNG per HIT in arrival order, so a
 // schedule that let goroutine interleaving pick the order would not be
 // reproducible. Lockstep removes that dependence by executing audits
-// in virtual rounds:
+// in rounds:
 //
 //   - every audit task runs in its own goroutine regardless of
 //     Parallelism, so the set of concurrently live tasks — and with it
 //     the composition of every round — never depends on the pool
 //     width;
-//   - a task that needs an oracle answer parks its query and blocks;
-//     when every live task is parked (or finished), the round is
-//     complete;
-//   - the round's queries are ordered canonically — by task index,
-//     then per-task query sequence, where the task index encodes the
-//     engine's (super-group, member) ordering — and committed through
-//     one BatchOracle round (SetQueryBatch, then PointQueryBatch);
-//   - answers release the tasks, which compute to their next query.
+//   - a task that needs oracle answers parks a window of queries and
+//     blocks: one query, or a run of set queries it is certain to ask
+//     in that order whatever the answers (Group-Coverage's certain
+//     FIFO prefix, see groupcoverage.go); when every live task has
+//     parked (or finished), the round is complete;
+//   - the round posts the first w entries of every window, w being the
+//     shortest window parked, in canonical order — by query sequence,
+//     then task index, where the task index encodes the engine's
+//     (super-group, member) ordering — through one BatchOracle round
+//     (SetQueryBatch, then PointQueryBatch), and hands the unposted
+//     window tails back unpaid;
+//   - answers release the tasks, which commit them in order and
+//     compute their next window.
+//
+// Every live task posts exactly one query per query sequence number,
+// so a round of width w is exactly w one-query rounds laid end to end:
+// the oracle sees the same query stream whatever the window lengths,
+// and a task posting one query at a time (windows of one) commits the
+// one-query canonical schedule. Windows hold set queries only; a point
+// query parks alone, so a round that mixes kinds has width one.
 //
 // Because round composition and commit order are both schedule-free,
 // an oracle that implements BatchOracle natively with batches executing
@@ -42,37 +54,36 @@ import (
 // without native batching, so batched rounds still amortize per-HIT
 // crowd latency.
 
-// lockstepQuery is one parked oracle query awaiting its round.
-type lockstepQuery struct {
-	// task and seq give the query its canonical position: task is the
-	// audit's index in the engine's fixed task order, seq the query's
-	// per-task issue number.
-	task, seq int
-	// point selects PointQuery (id) over a set query (req).
+// lockstepTask is one audit task's parking slot: the window it posts
+// and, once its round commits, what came back. Its task's goroutine
+// fills the window and reads the results; the scheduler touches it
+// only under its lock while the task waits.
+type lockstepTask struct {
+	// index is the task's position in the engine's fixed task order.
+	index int
+	// The window: set queries (reqs), or one point query (point, id).
+	reqs  []SetRequest
 	point bool
 	id    dataset.ObjectID
-	req   SetRequest
-	// done publishes the outcome under the scheduler lock.
-	done   bool
-	ans    bool
-	labels []int
-	err    error
+	// The round's delivery: answers[:n] (or labels, for a point query)
+	// answer the posted prefix of the window, err is the error of the
+	// first posted entry that failed, and done publishes all of it.
+	answers []bool
+	labels  []int
+	n       int
+	err     error
+	done    bool
 }
 
-// orderCanonically sorts a round into its commit order: by task index,
-// then per-task sequence. The fuzz harness drives this ordering with
-// randomized arrival orders.
-func orderCanonically(round []*lockstepQuery) {
-	sort.Slice(round, func(i, j int) bool {
-		if round[i].task != round[j].task {
-			return round[i].task < round[j].task
-		}
-		return round[i].seq < round[j].seq
-	})
+// width is the number of queries the task parked.
+func (t *lockstepTask) width() int {
+	if t.point {
+		return 1
+	}
+	return len(t.reqs)
 }
 
-// lockstep coordinates one group of audit tasks through virtual
-// rounds.
+// lockstep coordinates one group of audit tasks through rounds.
 type lockstep struct {
 	bo  BatchOracle
 	ctx context.Context
@@ -80,20 +91,19 @@ type lockstep struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	live   int // tasks neither finished nor aborted
-	parked []*lockstepQuery
+	parked []*lockstepTask
 	err    error // sticky abort: set once a task finishes with an error
 
 	// Round scratch, recycled across rounds so a long audit stops
 	// allocating per round: spare ping-pongs with parked's backing
-	// array, and sets/points/setReqs/pointIDs are the commit path's
-	// working slices. All of it is touched only under mu or while every
-	// live task sits in cond.Wait, and none of it is ever handed to
-	// code outside the scheduler (batch oracles receive setReqs/pointIDs
-	// for the duration of the call only — the middleware stack clones
-	// what it retains).
-	spare    []*lockstepQuery
-	sets     []*lockstepQuery
-	points   []*lockstepQuery
+	// array, and sets/setReqs/pointIDs are the commit path's working
+	// slices. All of it is touched only under mu or while every live
+	// task sits in cond.Wait, and none of it is ever handed to code
+	// outside the scheduler (batch oracles receive setReqs/pointIDs for
+	// the duration of the call only — the middleware stack clones what
+	// it retains).
+	spare    []*lockstepTask
+	sets     []*lockstepTask
 	setReqs  []SetRequest
 	pointIDs []dataset.ObjectID
 }
@@ -106,18 +116,20 @@ func newLockstep(ctx context.Context, bo BatchOracle, n int) *lockstep {
 	return s
 }
 
-// submit parks one query and blocks until its round commits. After an
-// abort the query fails immediately without reaching the oracle.
-func (s *lockstep) submit(q *lockstepQuery) {
+// submit parks one task's window and blocks until its round commits.
+// After an abort the window fails immediately without reaching the
+// oracle.
+func (s *lockstep) submit(t *lockstepTask) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t.n, t.err, t.done = 0, nil, false
 	if s.err != nil {
-		q.err, q.done = s.err, true
+		t.err, t.done = s.err, true
 		return
 	}
-	s.parked = append(s.parked, q)
+	s.parked = append(s.parked, t)
 	s.maybeCommit()
-	for !q.done {
+	for !t.done {
 		s.cond.Wait()
 	}
 }
@@ -148,130 +160,179 @@ func (s *lockstep) maybeCommit() {
 	}
 	round := s.parked
 	s.parked = s.spare[:0]
-	orderCanonically(round)
+	slices.SortFunc(round, func(a, b *lockstepTask) int { return a.index - b.index })
 	if s.err == nil {
 		s.err = s.ctx.Err()
 	}
-	if s.err != nil {
-		failQueries(round, s.err)
-	} else {
+	if s.err == nil {
 		s.commit(round)
 	}
-	// Recycle the round's backing array: every query is done, so no
+	for _, t := range round {
+		if s.err != nil {
+			t.err = s.err
+		}
+		t.done = true
+	}
+	// Recycle the round's backing array: every task is done, so no
 	// waiter holds a reference into it past the broadcast.
 	s.spare = round[:0]
 	s.cond.Broadcast()
 }
 
-// commit posts one canonical round: set queries first, point queries
-// second, each kind as a single batch in canonical order. A batch
-// error fails the failing queries uniformly — every parked task behind
-// the failure sees the same error, so which error surfaces never
-// depends on scheduling. Under a retry policy the retry wrapper sits
-// below the scheduler (on top of the Stack) and absorbs transient
-// failures inside the batch, so only a HIT that exhausts its attempts
-// fails a round. A partial-prefix batch (a BudgetedOracle admitting
-// only what the remaining budget affords) delivers the committed
-// prefix's answers to their tasks and fails the rest of the round —
-// the unadmitted sets AND every point query, which sit after the sets
-// in canonical order — with the batch's error, so a budget exhausts at
-// one deterministic point in the canonical query sequence and no task
-// ever hangs on an unanswered round.
-func (s *lockstep) commit(round []*lockstepQuery) {
-	sets, points := s.sets[:0], s.points[:0]
-	for _, q := range round {
-		if q.point {
-			points = append(points, q)
-		} else {
-			sets = append(sets, q)
+// commit posts one canonical round: the first w entries of every set
+// window as one SetQueryBatch in (query sequence, task index) order,
+// then the point queries as one PointQueryBatch in task order (a point
+// query parks alone, so point queries only ever ride a round of width
+// one). A batch error fails the failing queries uniformly — every
+// parked task behind the failure sees the same error, so which error
+// surfaces never depends on scheduling. Under a retry policy the retry
+// wrapper sits below the scheduler (on top of the Stack) and absorbs
+// transient failures inside the batch, so only a HIT that exhausts
+// its attempts fails a round. A partial-prefix batch (a BudgetedOracle
+// admitting only what the remaining budget affords) delivers the
+// committed prefix's answers to their tasks and fails, with the
+// batch's error, the entries of the query sequence the prefix ends in —
+// the unadmitted sets of that sequence AND every point query, which sit
+// after the sets in canonical order; later sequences go back unpaid.
+// So a budget exhausts at the point of the canonical query stream
+// where one query per round would, and no task ever hangs on an
+// unanswered round.
+func (s *lockstep) commit(round []*lockstepTask) {
+	w := round[0].width()
+	sets := s.sets[:0]
+	for _, t := range round {
+		w = min(w, t.width())
+		if !t.point {
+			sets = append(sets, t)
 		}
 	}
-	s.sets, s.points = sets, points
+	s.sets = sets
 	if len(sets) > 0 {
 		reqs := s.setReqs[:0]
-		for _, q := range sets {
-			reqs = append(reqs, q.req)
+		for j := 0; j < w; j++ {
+			for _, t := range sets {
+				reqs = append(reqs, t.reqs[j])
+			}
 		}
 		s.setReqs = reqs
 		answers, err := s.bo.SetQueryBatch(reqs)
-		for i := 0; i < len(answers) && i < len(sets); i++ {
-			sets[i].ans, sets[i].done = answers[i], true
+		answers = answers[:min(len(answers), len(reqs))]
+		for i, ans := range answers {
+			t := sets[i%len(sets)]
+			t.answers[i/len(sets)] = ans
+			t.n++
 		}
 		if err != nil {
-			failQueries(sets[len(answers):], err)
-			failQueries(points, err)
+			// The first unanswered entry sits in query sequence v: a
+			// task whose entry v went unanswered fails there, as it
+			// would one query per round, while a task answered through
+			// v gets its tail back unpaid and posts it again next round,
+			// where the governor decides afresh (a smaller query may
+			// still fit a spend cap).
+			v := len(answers) / len(sets)
+			for _, t := range round {
+				if t.point || (t.n == v && v < w) {
+					t.err = err
+				}
+			}
 			return
 		}
 	}
-	if len(points) > 0 {
-		ids := s.pointIDs[:0]
-		for _, q := range points {
-			ids = append(ids, q.id)
-		}
-		s.pointIDs = ids
-		labels, err := s.bo.PointQueryBatch(ids)
-		for i := 0; i < len(labels) && i < len(points); i++ {
-			points[i].labels, points[i].done = labels[i], true
-		}
-		if err != nil {
-			failQueries(points[len(labels):], err)
-			return
+	if len(sets) == len(round) {
+		return
+	}
+	ids := s.pointIDs[:0]
+	for _, t := range round {
+		if t.point {
+			ids = append(ids, t.id)
 		}
 	}
-	for _, q := range round {
-		q.done = true
-	}
-}
-
-// failQueries delivers one error to a subset of a round's queries.
-func failQueries(queries []*lockstepQuery, err error) {
-	for _, q := range queries {
-		q.err, q.done = err, true
+	s.pointIDs = ids
+	labels, err := s.bo.PointQueryBatch(ids)
+	i := 0
+	for _, t := range round {
+		if !t.point {
+			continue
+		}
+		if i < len(labels) {
+			t.labels, t.n = labels[i], 1
+		} else {
+			t.err = err
+		}
+		i++
 	}
 }
 
-// lockstepOracle is the per-task Oracle facade: each query parks in
-// the scheduler and returns with its round's answer. One goroutine
-// owns it, so the sequence counter needs no lock, and because a task
-// has at most one query in flight (submit blocks until the round
-// delivers), the parking slot q is reused across the task's queries
-// instead of allocating one per HIT. The scheduler never retains a
-// query past its round's broadcast, and the labels a point query
-// returns are the batch oracle's own allocation, so slot reuse cannot
-// alias an answer a caller holds.
+// windowOracle posts a window of set queries the caller is certain to
+// ask in that order, and returns the answers of the posted prefix: a
+// round may post fewer entries than the window (the shortest window of
+// the round bounds it), and the unposted tail is handed back unpaid
+// with a nil error. A non-nil error belongs to the first posted entry
+// that failed, the one after the returned answers. The answers are
+// valid until the next call. Only the lockstep facade implements it;
+// Group-Coverage over any other oracle posts windows of one.
+type windowOracle interface {
+	setWindow(reqs []SetRequest) ([]bool, error)
+}
+
+// lockstepOracle is the per-task Oracle facade: each window parks in
+// the scheduler and returns with its round's answers. One goroutine
+// owns it, and because a task has at most one window in flight
+// (submit blocks until the round delivers), the parking slot and its
+// answer buffer are reused across the task's rounds instead of
+// allocating per HIT. The scheduler never retains a task past its
+// round's broadcast, and the labels a point query returns are the
+// batch oracle's own allocation, so slot reuse cannot alias an answer
+// a caller holds.
 type lockstepOracle struct {
-	s    *lockstep
-	task int
-	seq  int
-	q    lockstepQuery
+	s   *lockstep
+	t   lockstepTask
+	one [1]SetRequest
 }
 
-// ask routes the parked slot through the scheduler.
-func (o *lockstepOracle) ask() {
-	o.q.task, o.q.seq = o.task, o.seq
-	o.seq++
-	o.s.submit(&o.q)
+// setWindow implements windowOracle.
+func (o *lockstepOracle) setWindow(reqs []SetRequest) ([]bool, error) {
+	t := &o.t
+	t.point, t.reqs = false, reqs
+	if cap(t.answers) < len(reqs) {
+		t.answers = make([]bool, len(reqs))
+	}
+	t.answers = t.answers[:len(reqs)]
+	o.s.submit(t)
+	t.reqs = nil // the caller's slice; never retained
+	return t.answers[:t.n], t.err
+}
+
+// set posts one set query as a window of one. A one-entry window is
+// never cut short, so a nil error means it was answered.
+func (o *lockstepOracle) set(req SetRequest) (bool, error) {
+	o.one[0] = req
+	answers, err := o.setWindow(o.one[:])
+	o.one[0] = SetRequest{}
+	if err != nil {
+		return false, err
+	}
+	return answers[0], nil
 }
 
 // SetQuery implements Oracle.
 func (o *lockstepOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	o.q = lockstepQuery{req: SetRequest{IDs: ids, Group: g}}
-	o.ask()
-	return o.q.ans, o.q.err
+	return o.set(SetRequest{IDs: ids, Group: g})
 }
 
 // ReverseSetQuery implements Oracle.
 func (o *lockstepOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	o.q = lockstepQuery{req: SetRequest{IDs: ids, Group: g, Reverse: true}}
-	o.ask()
-	return o.q.ans, o.q.err
+	return o.set(SetRequest{IDs: ids, Group: g, Reverse: true})
 }
 
 // PointQuery implements Oracle.
 func (o *lockstepOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	o.q = lockstepQuery{point: true, id: id}
-	o.ask()
-	return o.q.labels, o.q.err
+	t := &o.t
+	t.point, t.id = true, id
+	o.s.submit(t)
+	labels := t.labels
+	t.labels = nil
+	return labels, t.err
 }
 
 // runLockstep runs fn(i) for every task in [0, n) in lockstep rounds:
@@ -297,7 +358,7 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := fn(i, &lockstepOracle{s: s, task: i})
+			err := fn(i, &lockstepOracle{s: s, t: lockstepTask{index: i}})
 			errs[i] = err
 			s.finish(err)
 		}(i)
@@ -306,11 +367,12 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 	return firstError(errs)
 }
 
-// RunTask runs one sequential audit — fn issues its queries one at a
-// time, like GroupCoverage or BaseCoverage — as a one-task lockstep
-// run: every query is a one-element round committed through o, so a
-// cancelled ctx fails the next round before it reaches the oracle.
-// parallelism sizes the pool that lifts a plain o.
+// RunTask runs one sequential audit, like GroupCoverage or
+// BaseCoverage, as a one-task lockstep run: every window fn parks (a
+// single query, or Group-Coverage's certain FIFO prefix) is one round
+// committed through o, so a cancelled ctx fails the next round before
+// it reaches the oracle. parallelism sizes the pool that lifts a plain
+// o.
 func RunTask(ctx context.Context, o Oracle, parallelism int, fn func(audit Oracle) error) error {
 	if o == nil {
 		return errors.New("core: nil oracle")

@@ -9,9 +9,10 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// This file is the paper reference: Algorithm 2 (Multiple-Coverage)
-// and Algorithm 4/5 (Classifier-Coverage) as the one-query-at-a-time
-// loops the paper specifies. Production runs every audit on the
+// This file is the paper reference: Algorithm 1 (Group-Coverage),
+// Algorithm 2 (Multiple-Coverage) and Algorithm 4/5
+// (Classifier-Coverage) as the one-query-at-a-time loops the paper
+// specifies. Production runs every audit on the
 // lockstep round engine; the equivalence suites and FuzzPartitionClean
 // diff that engine against these loops at P in {1, 2, 4, 16}, which an
 // order-independent oracle must reproduce byte for byte.
@@ -40,6 +41,86 @@ func labelSamples(o Oracle, ids []dataset.ObjectID, k int, l *LabeledSet, rng *r
 		l.Add(id, labels)
 	}
 	return remaining, tasks, nil
+}
+
+// groupCoverageReference is Algorithm 1 verbatim: pop the FIFO queue
+// one entry at a time, ask it, and commit its answer before asking the
+// next. GroupCoverageOpt must reproduce it — verdict, count and tasks —
+// whatever windows it posts.
+func groupCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group, opts GroupCoverageOptions) (GroupResult, error) {
+	res := GroupResult{Group: g}
+	if n < 1 || tau < 0 {
+		return GroupCoverageOpt(o, ids, n, tau, g, opts)
+	}
+	if tau == 0 {
+		res.Covered = true
+		return res, nil
+	}
+	if len(ids) == 0 {
+		res.Exact = true
+		return res, nil
+	}
+
+	q := newQueue()
+	for i := 0; i < len(ids); i += n {
+		q.push(&node{b: i, e: min(i+n, len(ids))})
+	}
+	cnt := 0
+	for !q.empty() {
+		t := q.pop()
+		ans, err := o.SetQuery(ids[t.b:t.e], g)
+		if err != nil {
+			if errors.Is(err, ErrBudgetExhausted) {
+				res.Count = cnt
+				res.Exhausted = true
+				return res, nil
+			}
+			return res, err
+		}
+		res.Tasks++
+		if opts.Trace != nil {
+			opts.Trace.record(t, ans, false)
+		}
+		if !ans {
+			if t.parent == nil || opts.DisableSiblingInference {
+				continue
+			}
+			sib := t.parent.right
+			if t != t.parent.left || sib == nil || !sib.inQueue {
+				continue
+			}
+			q.remove(sib)
+			t = sib
+			if opts.Trace != nil {
+				opts.Trace.record(t, true, true)
+			}
+		}
+		switch {
+		case opts.CountSingletonsOnly:
+			if t.size() == 1 {
+				cnt++
+			}
+		case t.parent == nil, t.parent.checked:
+			cnt++
+		default:
+			t.parent.checked = true
+		}
+		if cnt >= tau {
+			res.Covered = true
+			res.Count = cnt
+			return res, nil
+		}
+		if t.size() > 1 {
+			mid := (t.b + t.e) / 2
+			t.left = &node{b: t.b, e: mid, parent: t}
+			t.right = &node{b: mid, e: t.e, parent: t}
+			q.push(t.left)
+			q.push(t.right)
+		}
+	}
+	res.Count = cnt
+	res.Exact = true
+	return res, nil
 }
 
 // multipleCoverageReference is Algorithm 2 verbatim: sample, aggregate,
@@ -77,7 +158,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		gc, err := GroupCoverage(o, remaining, n, plan.tauPrime, plan.union)
+		gc, err := groupCoverageReference(o, remaining, n, plan.tauPrime, plan.union, GroupCoverageOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +166,7 @@ func multipleCoverageReference(o Oracle, ids []dataset.ObjectID, n, tau int, gro
 		if len(plan.members) > 1 && gc.Covered {
 			for _, gi := range plan.members {
 				g := groups[gi]
-				sub, err := GroupCoverage(o, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
+				sub, err := groupCoverageReference(o, remaining, n, clampTau(tau-res.Labeled.Count(g)), g, GroupCoverageOptions{})
 				if err != nil {
 					return nil, err
 				}

@@ -103,43 +103,59 @@ func TestStackBuildOrder(t *testing.T) {
 	}
 }
 
-// cancelAfter is a plain leaf that cancels its context once it has
-// answered n HITs, counting every HIT that reaches it.
+// cancelAfter is a native batch leaf that cancels its context once it
+// has answered n HITs, counting every HIT that reaches it and the HIT
+// count at the end of every round.
 type cancelAfter struct {
-	inner  Oracle
+	inner  *TruthOracle
 	n      int
 	cancel context.CancelFunc
 
-	mu   sync.Mutex
-	hits int
+	mu     sync.Mutex
+	hits   int
+	rounds []int // cumulative HITs at each round's end
 }
 
-func (c *cancelAfter) tick() {
+func (c *cancelAfter) tick(k int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.hits++; c.hits == c.n {
+	if c.hits < c.n && c.hits+k >= c.n {
 		c.cancel()
 	}
+	c.hits += k
+	c.rounds = append(c.rounds, c.hits)
 }
 
 func (c *cancelAfter) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	c.tick()
+	c.tick(1)
 	return c.inner.SetQuery(ids, g)
 }
 
 func (c *cancelAfter) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	c.tick()
+	c.tick(1)
 	return c.inner.ReverseSetQuery(ids, g)
 }
 
 func (c *cancelAfter) PointQuery(id dataset.ObjectID) ([]int, error) {
-	c.tick()
+	c.tick(1)
 	return c.inner.PointQuery(id)
+}
+
+func (c *cancelAfter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	c.tick(len(reqs))
+	return c.inner.SetQueryBatch(reqs)
+}
+
+func (c *cancelAfter) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	c.tick(len(ids))
+	return c.inner.PointQueryBatch(ids)
 }
 
 // TestClassifierResidualHonorsCancellation: the classifier's residual
 // Group-Coverage hunts run as one-task lockstep audits, so a context
 // cancelled mid-audit stops the next round instead of auditing on.
+// Rounds are atomic, so the round holding the n-th HIT — the one that
+// cancels — completes, and no HIT reaches the leaf after it.
 func TestClassifierResidualHonorsCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d, err := dataset.BinaryWithMinority(3000, 60, rng)
@@ -163,8 +179,11 @@ func TestClassifierResidualHonorsCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%d predictions: err = %v, want context.Canceled", len(predicted), err)
 		}
-		if leaf.hits != leaf.n {
-			t.Errorf("%d predictions: %d HITs posted, want %d (none after the cancel)", len(predicted), leaf.hits, leaf.n)
+		// The last round the leaf saw is the one holding HIT n.
+		last := len(leaf.rounds) - 1
+		if last < 0 || leaf.rounds[last] < leaf.n || (last > 0 && leaf.rounds[last-1] >= leaf.n) {
+			t.Errorf("%d predictions: rounds ended at HITs %v, want the last round to be the one holding HIT %d (none after the cancel)",
+				len(predicted), leaf.rounds, leaf.n)
 		}
 	}
 }

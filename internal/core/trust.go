@@ -86,8 +86,11 @@ func GoldProbes(d *dataset.Dataset, groups []pattern.Group, k int, seed int64) [
 // value of any field is replaced by its DefaultTrustPolicy value, so
 // callers may set only what they mean to change.
 type TrustPolicy struct {
-	// ProbeEvery schedules one gold probe after every ProbeEvery-th
-	// committed set round (appended to that round's batch).
+	// ProbeEvery schedules one gold probe per ProbeEvery committed
+	// set HITs: a set round whose h+k committed requests pass
+	// multiples of ProbeEvery (h before it, k its own) appends
+	// floor((h+k)/ProbeEvery) - floor(h/ProbeEvery) probes to its
+	// batch, so probe density per HIT holds whatever the round width.
 	ProbeEvery int
 	// HonestErr and AdversaryErr are the per-answer error rates of the
 	// two hypotheses the likelihood ratio separates; they must satisfy
@@ -107,13 +110,13 @@ type TrustPolicy struct {
 	MinObservations int
 }
 
-// DefaultTrustPolicy probes every 4th set round and distrusts a worker
+// DefaultTrustPolicy probes once per 10 set HITs and distrusts a worker
 // once the likelihood ratio favors a 50%-error adversary over a
 // 5%-error honest worker by e^3 (~3 gold-probe misses, or many more
 // discounted consensus contradictions).
 func DefaultTrustPolicy() TrustPolicy {
 	return TrustPolicy{
-		ProbeEvery:          4,
+		ProbeEvery:          10,
 		HonestErr:           0.05,
 		AdversaryErr:        0.5,
 		DistrustBelow:       -3,
@@ -237,13 +240,14 @@ type workerTally struct {
 
 // TrustOracle is the adversarial-robustness middleware. Stack.Build
 // places it above the journal (cache -> trust -> journal -> governor ->
-// leaf); it appends one gold probe to every ProbeEvery-th committed
-// set round, consumes the answer feed's delta after each round to
-// score every worker's raw answers — against the gold answer for probe
-// HITs, against the round's aggregated consensus otherwise — and
-// applies the policy's distrust verdicts to the screener at round
-// boundaries only. The probe schedule is a pure function of the
-// committed set-round count, so it is identical at every Parallelism,
+// leaf); it appends one gold probe per ProbeEvery committed set HITs
+// to the set rounds that pass those marks, consumes the answer feed's
+// delta after each round to score every worker's raw answers — against
+// the gold answer for probe HITs, against the round's aggregated
+// consensus otherwise — and applies the policy's distrust verdicts to
+// the screener at round boundaries only. The probe schedule is a pure
+// function of the committed set-HIT count, so it is identical at every
+// Parallelism,
 // survives kill/resume (replayed rounds re-issue the
 // identical probe-augmented requests), and never consults the feed —
 // feed starvation degrades scoring, never determinism.
@@ -256,10 +260,10 @@ type TrustOracle struct {
 	screen WorkerScreener
 
 	mu           sync.Mutex
-	setRounds    int
-	probeCursor  int
+	setHITs      int // committed audit set HITs, probes excluded
+	combined     []SetRequest
 	feedCursor   int
-	probesIssued int
+	probesIssued int // also the battery cursor
 	stats        map[int]*workerTally
 	excluded     map[int]bool
 }
@@ -339,39 +343,42 @@ func (t *TrustOracle) Report() TrustReport {
 }
 
 // SetQueryBatch implements BatchOracle: the probe schedule decides
-// whether this committed set round carries an appended gold probe, the
-// combined round is forwarded to the inner stack (so a journal below
-// records — and replays — the probe-augmented round), the feed delta
-// is scored, and screening verdicts apply before the answers return —
-// i.e. at the round boundary. A probe-only failure (the budget
-// admitting exactly the caller's prefix and refusing the appended
-// probe) is swallowed: the audit's own requests all committed, so the
-// audit sees a clean round while the governor's exhaustion still
-// surfaces on the next one.
+// how many gold probes this committed set round carries, appended
+// after the caller's requests; the combined round is forwarded to the
+// inner stack (so a journal below records — and replays — the
+// probe-augmented round), the feed delta is scored, and screening
+// verdicts apply before the answers return — i.e. at the round
+// boundary. A probe-only failure (the budget admitting the caller's
+// requests and refusing some of the appended probes) is swallowed: the
+// audit's own requests all committed, so the audit sees a clean round
+// while the governor's exhaustion still surfaces on the next one.
 func (t *TrustOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.setRounds++
-	var probe *GoldProbe
+	probes, first := 0, t.probesIssued
+	if len(t.probes) > 0 {
+		probes = (t.setHITs+len(reqs))/t.policy.ProbeEvery - t.setHITs/t.policy.ProbeEvery
+	}
+	t.probesIssued += probes
 	combined := reqs
-	if len(t.probes) > 0 && t.setRounds%t.policy.ProbeEvery == 0 {
-		pr := t.probes[t.probeCursor%len(t.probes)]
-		t.probeCursor++
-		t.probesIssued++
-		probe = &pr
-		combined = make([]SetRequest, 0, len(reqs)+1)
-		combined = append(combined, reqs...)
-		combined = append(combined, pr.Req)
+	if probes > 0 {
+		combined = append(t.combined[:0], reqs...)
+		for i := first; i < t.probesIssued; i++ {
+			combined = append(combined, t.probe(i).Req)
+		}
+		t.combined = combined
 	}
 	answers, err := t.inner.SetQueryBatch(combined)
-	t.observe(reqs, answers, probe)
+	t.setHITs += min(len(answers), len(reqs))
+	t.observe(len(reqs), answers, first)
 	t.applyScreening()
-	if probe == nil {
+	if probes == 0 {
 		return answers, err
 	}
+	clear(t.combined) // drop the caller's id slices
 	if len(answers) > len(reqs) {
 		answers = answers[:len(reqs)]
 	}
@@ -381,6 +388,10 @@ func (t *TrustOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	}
 	return answers, err
 }
+
+// probe returns the i-th probe the schedule issues: the battery
+// cycles in order.
+func (t *TrustOracle) probe(i int) GoldProbe { return t.probes[i%len(t.probes)] }
 
 // PointQueryBatch implements BatchOracle by pass-through: point rounds
 // carry no probes, produce no feed entries, and do not advance the
@@ -397,13 +408,15 @@ func (t *TrustOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 // observe consumes the feed delta for one committed set round: the
 // round committed len(answers) HITs in request order, so the delta's
 // next len(answers) HIT groups are exactly this round's raw worker
-// answers. Probe HITs score against the gold answer, audit HITs
-// against the round's aggregated consensus. A short or empty delta
+// answers. The first audit of them are the caller's HITs and score
+// against the round's aggregated consensus; the probes appended after
+// them, issued from probe number first on, score against their gold
+// answers. A short or empty delta
 // (no feed installed, or a resumed run replaying rounds an earlier
 // process already consumed from a since-rebuilt platform) scores what
 // is there and moves on — determinism never depends on the feed.
 // Callers hold t.mu.
-func (t *TrustOracle) observe(reqs []SetRequest, answers []bool, probe *GoldProbe) {
+func (t *TrustOracle) observe(audit int, answers []bool, first int) {
 	if t.feed == nil || len(answers) == 0 {
 		return
 	}
@@ -414,9 +427,9 @@ func (t *TrustOracle) observe(reqs []SetRequest, answers []bool, probe *GoldProb
 		for j < len(delta) && delta[j].HIT == delta[i].HIT {
 			j++
 		}
-		want, isProbe := answers[hit], false
-		if probe != nil && hit == len(reqs) {
-			want, isProbe = probe.Want, true
+		want, isProbe := answers[hit], hit >= audit
+		if isProbe {
+			want = t.probe(first + hit - audit).Want
 		}
 		for _, a := range delta[i:j] {
 			w := t.stats[a.Worker]

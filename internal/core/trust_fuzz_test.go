@@ -119,8 +119,10 @@ func FuzzTrustVerdict(f *testing.F) {
 			}
 			tr := l.Trust
 			ids := d.IDs()
+			hits := 0
 			for r := 0; r < rounds; r++ {
 				n := abs(next())%3 + 1
+				hits += n
 				reqs := make([]SetRequest, n)
 				for i := range reqs {
 					lo := abs(next()) % (len(ids) - 3)
@@ -140,8 +142,8 @@ func FuzzTrustVerdict(f *testing.F) {
 				}
 			}
 			rep := tr.Report()
-			if rep.ProbesIssued > rounds {
-				t.Fatalf("issued %d probes over %d rounds", rep.ProbesIssued, rounds)
+			if want := hits / probeEvery; rep.ProbesIssued != want {
+				t.Fatalf("issued %d probes over %d committed set HITs, want one per %d: %d", rep.ProbesIssued, hits, probeEvery, want)
 			}
 			for _, w := range rep.Workers {
 				if math.IsNaN(w.Score) || math.IsInf(w.Score, 0) {

@@ -11,11 +11,13 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// recordingBatchOracle records every set round's request count before
-// forwarding, so tests can see exactly which rounds carried a probe.
+// recordingBatchOracle records every set round's request count and
+// requests before forwarding, so tests can see exactly which rounds
+// carried which probes.
 type recordingBatchOracle struct {
-	inner  BatchOracle
-	rounds []int
+	inner   BatchOracle
+	rounds  []int
+	batches [][]SetRequest
 }
 
 func (r *recordingBatchOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
@@ -32,6 +34,7 @@ func (r *recordingBatchOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
 
 func (r *recordingBatchOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	r.rounds = append(r.rounds, len(reqs))
+	r.batches = append(r.batches, append([]SetRequest(nil), reqs...))
 	return r.inner.SetQueryBatch(reqs)
 }
 
@@ -197,10 +200,12 @@ func TestNewTrustOracleValidation(t *testing.T) {
 	}
 }
 
-// TestTrustOracleProbeSchedule pins the deterministic interleaving:
-// every ProbeEvery-th committed set round carries exactly one appended
-// probe, the battery cycles in order, and the caller never sees the
-// probe's answer.
+// TestTrustOracleProbeSchedule pins the deterministic interleaving in
+// its unit, committed set HITs: a round that carries the committed
+// count h to h+k appends floor((h+k)/ProbeEvery) - floor(h/ProbeEvery)
+// probes after its own requests — none, one or several, whatever the
+// round width — the battery cycles in order, and the caller never sees
+// a probe's answer.
 func TestTrustOracleProbeSchedule(t *testing.T) {
 	d, g, probes := trustTestWorld(t)
 	rec := &recordingBatchOracle{inner: NewTruthOracle(d)}
@@ -212,6 +217,8 @@ func TestTrustOracleProbeSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := d.IDs()
+	// Nine rounds of two HITs: h runs 0, 2, 4, ..., 18, passing a
+	// multiple of 3 in every round but the 1st, 4th and 7th.
 	for round := 1; round <= 9; round++ {
 		reqs := []SetRequest{
 			{IDs: ids[:5], Group: g},
@@ -224,28 +231,41 @@ func TestTrustOracleProbeSchedule(t *testing.T) {
 		if len(answers) != len(reqs) {
 			t.Fatalf("round %d: %d answers for %d requests", round, len(answers), len(reqs))
 		}
-		want := 2
-		if round%3 == 0 {
-			want = 3
-		}
-		if rec.rounds[round-1] != want {
-			t.Fatalf("round %d forwarded %d requests, want %d", round, rec.rounds[round-1], want)
-		}
 	}
-	// A single SetQuery is a one-element round and advances the
-	// schedule too: round 10, 11, 12 -> the 12th carries a probe.
+	// A single SetQuery is a one-HIT round: h 18 -> 19 -> 20 -> 21,
+	// so the third carries a probe.
 	for round := 10; round <= 12; round++ {
 		if _, err := tr.SetQuery(ids[:3], g); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	wantRounds := []int{2, 2, 3, 2, 2, 3, 2, 2, 3, 1, 1, 2}
+	// A round of seven HITs takes h 21 -> 28 past 24 and 27: two
+	// probes ride it.
+	wide := make([]SetRequest, 7)
+	for i := range wide {
+		wide[i] = SetRequest{IDs: ids[i : i+1], Group: g}
+	}
+	if answers, err := tr.SetQueryBatch(wide); err != nil || len(answers) != len(wide) {
+		t.Fatalf("wide round: %d answers, %v; want %d answers", len(answers), err, len(wide))
+	}
+	wantRounds := []int{2, 3, 3, 2, 3, 3, 2, 3, 3, 1, 1, 2, 9}
 	if !reflect.DeepEqual(rec.rounds, wantRounds) {
 		t.Fatalf("forwarded round sizes %v, want %v", rec.rounds, wantRounds)
 	}
-	rep := tr.Report()
-	if rep.ProbesIssued != 4 {
-		t.Errorf("ProbesIssued = %d, want 4", rep.ProbesIssued)
+	// The probes trail their round's own requests and cycle the
+	// battery in order.
+	cursor := 0
+	callerHITs := []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 1, 7}
+	for r, batch := range rec.batches {
+		for _, req := range batch[callerHITs[r]:] {
+			if want := probes[cursor%len(probes)].Req; !reflect.DeepEqual(req, want) {
+				t.Fatalf("round %d probe %d = %+v, want battery entry %d %+v", r+1, cursor, req, cursor%len(probes), want)
+			}
+			cursor++
+		}
+	}
+	if rep := tr.Report(); rep.ProbesIssued != 9 || cursor != 9 {
+		t.Errorf("ProbesIssued = %d (%d forwarded), want 9", rep.ProbesIssued, cursor)
 	}
 	// Point rounds neither advance the schedule nor carry probes.
 	if _, err := tr.PointQueryBatch(ids[:4]); err != nil {
@@ -313,8 +333,9 @@ func TestTrustOracleScreensLiar(t *testing.T) {
 
 // TestTrustOracleSwallowsProbeOnlyDenial pins the budget interaction:
 // when the governor affords exactly the audit's own requests and
-// denies only the appended probe, the round is clean for the caller;
-// when the audit's own requests are denied, exhaustion surfaces.
+// denies only the appended probes (two here, one per HIT), the round
+// is clean for the caller; when the audit's own requests are denied,
+// exhaustion surfaces.
 func TestTrustOracleSwallowsProbeOnlyDenial(t *testing.T) {
 	d, g, probes := trustTestWorld(t)
 	gov := NewBudgetedOracle(NewTruthOracle(d), Budget{MaxSet: 2})
@@ -333,6 +354,9 @@ func TestTrustOracleSwallowsProbeOnlyDenial(t *testing.T) {
 	}
 	if len(answers) != 2 {
 		t.Fatalf("%d answers, want the full caller prefix of 2", len(answers))
+	}
+	if denied := gov.Spent().Denied; denied != 2 {
+		t.Fatalf("governor denied %d requests, want the 2 trailing probes", denied)
 	}
 	if _, err := tr.SetQueryBatch(reqs[:1]); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("audit-request denial: err = %v, want ErrBudgetExhausted", err)

@@ -82,7 +82,7 @@ func DefaultConfig(seed int64) Config {
 // answers in request order, so identically-seeded runs reproduce the
 // same answers at any parallelism level. The core audit engine's
 // lockstep scheduler, which every audit runs on, does exactly that — it
-// collects each virtual round's queries, orders them canonically, and
+// collects each round's queries, orders them canonically, and
 // commits them here as one batch — which makes even multi-group audits
 // through this platform bit-identical at every Parallelism value.
 type Platform struct {

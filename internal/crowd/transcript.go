@@ -16,8 +16,12 @@ package crowd
 //
 // History: journals before any tag (header field "01") hold the
 // transcript in which perception drew one NormFloat64 for every glyph
-// pixel; "c2" draws one per decision pixel only (imagegen.PerceiveInto).
-const TranscriptTag = "c2"
+// pixel; "c2" draws one per decision pixel only (imagegen.PerceiveInto);
+// "c3" keeps c2's draws under the windowed round layout, in which a
+// lockstep round posts every task's certain Group-Coverage prefix
+// (core's lockstep.go) and trust probes ride per committed set HIT, so
+// a c2 journal's rounds no longer match the rounds an audit posts.
+const TranscriptTag = "c3"
 
 // TranscriptTag implements core.TranscriptTagger.
 func (p *Platform) TranscriptTag() string { return TranscriptTag }

@@ -15,7 +15,7 @@ import (
 // the SHA-256 of the raw worker answers a fixed-seed platform gives to
 // 200 set HITs.
 const (
-	pinnedTag    = "c2"
+	pinnedTag    = "c3"
 	pinnedDigest = "f287c97262f2b76e3c677d2cc7a6c526a0b2f7d66d0e7c00b71d4e4901ac72d2"
 )
 
