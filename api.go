@@ -576,7 +576,8 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // classifier's predicted-positive set (Algorithm 4). The audit posts
 // whole rounds — the precision sample as one point-query round, the
 // Label phase as bounded rounds with a deterministic early stop, and
-// the Partition phase as one reverse-set round per tree level — whose
+// the Partition phase as rounds of the FIFO queue's front, clipped to
+// the size still needed and to the budget headroom — whose
 // composition never depends on the width, making the full result
 // bit-identical at every WithParallelism value even through the
 // order-dependent simulated crowd. Results equal the paper's

@@ -70,6 +70,63 @@ func TestAuditorCacheDeduplicatesRepeatAudits(t *testing.T) {
 	}
 }
 
+// TestAuditorCacheReusesAcrossAudits: different audits through one
+// cached auditor share super-group queries. AuditAttribute(1) after
+// AuditAttribute(0), and AuditIntersectional after both, are served
+// partly from the cache, while every result equals a fresh uncached
+// auditor's and the inner oracle is paid exactly once per miss.
+func TestAuditorCacheReusesAcrossAudits(t *testing.T) {
+	schema, err := NewSchema(
+		Attribute{Name: "a", Values: []string{"a0", "a1"}},
+		Attribute{Name: "b", Values: []string{"b0", "b1", "b2", "b3"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := DatasetFromCounts(schema, []int{700, 300, 40, 12, 500, 9, 30, 60}, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tau, n = 25, 25
+	audits := []struct {
+		name string
+		run  func(a *Auditor) (any, error)
+	}{
+		{"AuditAttribute(0)", func(a *Auditor) (any, error) { return a.AuditAttribute(ds.IDs(), schema, 0) }},
+		{"AuditAttribute(1)", func(a *Auditor) (any, error) { return a.AuditAttribute(ds.IDs(), schema, 1) }},
+		{"AuditIntersectional", func(a *Auditor) (any, error) { return a.AuditIntersectional(ds.IDs(), schema) }},
+	}
+	inner := NewTruthOracle(ds)
+	cached := NewAuditor(inner, tau, n).WithCache()
+	var prevHits int
+	for i, audit := range audits {
+		got, err := audit.run(cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := audit.run(NewAuditor(NewTruthOracle(ds), tau, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: cached result differs from a fresh uncached auditor's", audit.name)
+		}
+		stats, ok := cached.CacheStats()
+		if !ok {
+			t.Fatal("CacheStats should be available after WithCache")
+		}
+		if paid := inner.Tasks().Total(); paid != stats.Misses.Total() {
+			t.Errorf("%s: inner paid %d HITs, cache missed %d", audit.name, paid, stats.Misses.Total())
+		}
+		hits := stats.Hits.Total() - prevHits
+		if i > 0 && hits == 0 {
+			t.Errorf("%s: no cache hits from the earlier audits", audit.name)
+		}
+		t.Logf("%s: %d hits", audit.name, hits)
+		prevHits = stats.Hits.Total()
+	}
+}
+
 // flakyAPIOracle fails every third query with the transient error.
 type flakyAPIOracle struct {
 	inner Oracle

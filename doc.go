@@ -45,7 +45,8 @@
 //     concurrent tasks whose queries commit in canonical rounds, and
 //     Classifier-Coverage posts one point-query round for the
 //     precision sample, bounded Label rounds with a deterministic
-//     early stop, and one reverse-set round per Partition tree level.
+//     early stop, and Partition rounds of the FIFO queue's front,
+//     clipped to the size still needed and to the budget headroom.
 //     Auditor.WithParallelism sizes the pool that answers a round's
 //     queries on a non-batching oracle. With an order-independent
 //     oracle the verdicts and task counts equal the paper's

@@ -35,11 +35,11 @@ func (s CacheStats) HitRate() float64 {
 // failure leaves the key unanswered, so the next attempt pays (and
 // retries) the real HIT.
 //
-// Concurrent identical queries are collapsed in flight: the first
-// caller posts the HIT while the others wait for its answer, so a
-// parallel audit round never double-pays for duplicates either. A
-// single query is a one-element round. Safe for concurrent use when
-// the inner oracle is.
+// A round runs under the oracle's lock from key scan through the inner
+// post to answer assembly, so concurrent callers take turns per round:
+// the distinct misses of a round post as one batch, and a key one
+// round paid for is a hit for every later round. A single query is a
+// one-element round. Safe for concurrent use when the inner oracle is.
 //
 // Caching deliberately changes task counts — that is the point — so
 // equivalence experiments comparing engine variants must run uncached.
@@ -47,39 +47,27 @@ type CachingOracle struct {
 	oneQueryRounds
 	inner BatchOracle
 
-	mu       sync.Mutex
-	answers  map[string]bool
-	labels   map[string][]int
-	inflight map[string]*inflightCall
-	stats    CacheStats
+	mu      sync.Mutex
+	answers map[string]bool
+	labels  map[string][]int
+	stats   CacheStats
 
 	// Key-building scratch, guarded by mu. Lookups go through
 	// map[string(bytes)] expressions, which Go compiles without
 	// materializing the string, so a cache hit allocates nothing; the
-	// string is built only when a key must be stored. keyBuf and
-	// offScratch are stolen (swapped to nil) by cacheRound, whose keys
-	// must survive an unlock — a concurrent caller appending to a
-	// shared buffer would scribble over them.
+	// string is built only when a key must be stored.
 	keyBuf        []byte
 	offScratch    []int
 	sortScratch   []int
 	memberScratch []string
 }
 
-// inflightCall is a pending inner query other callers wait on; on
-// success the answer is in the cache when done closes.
-type inflightCall struct {
-	done chan struct{}
-	err  error
-}
-
 // NewCachingOracle wraps a batch oracle with the deduplicating cache.
 func NewCachingOracle(inner BatchOracle) *CachingOracle {
 	c := &CachingOracle{
-		inner:    inner,
-		answers:  make(map[string]bool),
-		labels:   make(map[string][]int),
-		inflight: make(map[string]*inflightCall),
+		inner:   inner,
+		answers: make(map[string]bool),
+		labels:  make(map[string][]int),
 	}
 	c.oneQueryRounds = oneQueryRounds{c}
 	return c
@@ -117,16 +105,7 @@ func (c *CachingOracle) Len() int {
 // setKey is the reference (allocating) form; hot paths build the same
 // bytes into reused scratch via canonSet + appendSetKey.
 func setKey(ids []dataset.ObjectID, g pattern.Group, reverse bool) string {
-	sorted := make([]int, len(ids))
-	for i, id := range ids {
-		sorted[i] = int(id)
-	}
-	sort.Ints(sorted)
-	members := make([]string, len(g.Members))
-	for i, p := range g.Members {
-		members[i] = p.Key()
-	}
-	sort.Strings(members)
+	sorted, members := canonSet(nil, nil, ids, g)
 	return string(appendSetKey(nil, sorted, members, reverse))
 }
 
@@ -157,25 +136,18 @@ func appendSetKey(dst []byte, sorted []int, members []string, reverse bool) []by
 	return dst
 }
 
-// canonSet canonicalizes one set query into the oracle's sorting
-// scratch: ids sorted ascending, member pattern keys sorted
-// lexically. Callers must hold c.mu; the returned slices are valid
-// until the next canonSet call.
-func (c *CachingOracle) canonSet(ids []dataset.ObjectID, g pattern.Group) ([]int, []string) {
-	if cap(c.sortScratch) < len(ids) {
-		c.sortScratch = make([]int, len(ids))
-	}
-	sorted := c.sortScratch[:len(ids)]
-	for i, id := range ids {
-		sorted[i] = int(id)
+// canonSet canonicalizes one set query into the given scratch, grown
+// as needed: ids sorted ascending, member pattern keys sorted
+// lexically.
+func canonSet(sorted []int, members []string, ids []dataset.ObjectID, g pattern.Group) ([]int, []string) {
+	sorted = sorted[:0]
+	for _, id := range ids {
+		sorted = append(sorted, int(id))
 	}
 	sort.Ints(sorted)
-	if cap(c.memberScratch) < len(g.Members) {
-		c.memberScratch = make([]string, len(g.Members))
-	}
-	members := c.memberScratch[:len(g.Members)]
-	for i, p := range g.Members {
-		members[i] = p.Key()
+	members = members[:0]
+	for _, p := range g.Members {
+		members = append(members, p.Key())
 	}
 	sort.Strings(members)
 	return sorted, members
@@ -197,131 +169,79 @@ func cloneLabels(labels []int) []int {
 	return out
 }
 
-// cacheKind adapts one HIT kind to cacheRound: how a query is keyed
-// and tallied, which table holds its answers, how an answer is copied
-// in and out, and how a round of misses is posted.
-type cacheKind[Q, A any] struct {
-	appendKey func(c *CachingOracle, dst []byte, q Q) []byte
-	count     func(t *TaskCounts, q Q)
-	table     func(c *CachingOracle) map[string]A
-	clone     func(A) A
-	post      func(inner BatchOracle, qs []Q) ([]A, error)
-}
-
-var setKind = cacheKind[SetRequest, bool]{
-	appendKey: func(c *CachingOracle, dst []byte, req SetRequest) []byte {
-		sorted, members := c.canonSet(req.IDs, req.Group)
-		return appendSetKey(dst, sorted, members, req.Reverse)
-	},
-	count: func(t *TaskCounts, req SetRequest) {
-		if req.Reverse {
-			t.ReverseSet++
-		} else {
-			t.Set++
-		}
-	},
-	table: func(c *CachingOracle) map[string]bool { return c.answers },
-	clone: func(ans bool) bool { return ans },
-	post:  BatchOracle.SetQueryBatch,
-}
-
-var pointKind = cacheKind[dataset.ObjectID, []int]{
-	appendKey: func(_ *CachingOracle, dst []byte, id dataset.ObjectID) []byte { return appendPointKey(dst, id) },
-	count:     func(t *TaskCounts, _ dataset.ObjectID) { t.Point++ },
-	table:     func(c *CachingOracle) map[string][]int { return c.labels },
-	clone:     cloneLabels,
-	post:      BatchOracle.PointQueryBatch,
+// tally counts one query on t, by the kind its key's tag names.
+func tally(t *TaskCounts, key []byte) {
+	switch key[0] {
+	case 'p':
+		t.Point++
+	case 'r':
+		t.ReverseSet++
+	default:
+		t.Set++
+	}
 }
 
 // SetQueryBatch implements BatchOracle; see cacheRound.
 func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
-	return cacheRound(c, reqs, setKind)
+	return cacheRound(c, reqs, c.answers, BatchOracle.SetQueryBatch, func(ans bool) bool { return ans },
+		func(dst []byte, req SetRequest) []byte {
+			c.sortScratch, c.memberScratch = canonSet(c.sortScratch, c.memberScratch, req.IDs, req.Group)
+			return appendSetKey(dst, c.sortScratch, c.memberScratch, req.Reverse)
+		})
 }
 
 // PointQueryBatch implements BatchOracle; see cacheRound.
 func (c *CachingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
-	return cacheRound(c, ids, pointKind)
+	return cacheRound(c, ids, c.labels, BatchOracle.PointQueryBatch, cloneLabels, appendPointKey)
 }
 
-// cacheRound runs one round through the cache: duplicates inside the
-// round collapse onto one inner request, cached keys are answered for
-// free, keys another caller is already posting are waited on instead
-// of re-posted, and only the distinct misses this round owns reach the
-// inner oracle, as one batch.
-func cacheRound[Q, A any](c *CachingOracle, qs []Q, kind cacheKind[Q, A]) ([]A, error) {
+// cacheRound runs one round through the cache under c.mu, from key
+// scan through the inner post to answer assembly: duplicates inside
+// the round collapse onto one inner request, cached keys are answered
+// for free, and only the distinct misses reach the inner oracle, as
+// one batch. Holding the lock for the whole round is what the layers
+// below do too (trust, the journal and the crowd platform each commit
+// a round under their own lock), so concurrent callers take turns per
+// round and a key one round paid for is a hit for every later round.
+func cacheRound[Q, A any](c *CachingOracle, qs []Q, table map[string]A,
+	post func(BatchOracle, []Q) ([]A, error), clone func(A) A, appendKey func([]byte, Q) []byte) ([]A, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var missQs []Q
 	var missKeys []string
-	var owned, waiting map[string]bool
-	var waits []*inflightCall
-
-	c.mu.Lock()
-	table := kind.table(c)
-	// Steal the key scratch for this round: the keys (arena bytes plus
-	// [start,end) offset pairs) must survive the unlock below for final
-	// assembly, and a concurrent caller appending to the shared buffer
-	// would scribble over them. Given back under the assembly lock.
+	var missed map[string]bool
+	// The round's keys, as arena bytes plus [start,end) offset pairs.
 	arena, offs := c.keyBuf[:0], c.offScratch[:0]
-	c.keyBuf, c.offScratch = nil, nil
 	for _, q := range qs {
 		start := len(arena)
-		arena = kind.appendKey(c, arena, q)
+		arena = appendKey(arena, q)
 		offs = append(offs, start, len(arena))
 		key := arena[start:]
-		if _, ok := table[string(key)]; ok || owned[string(key)] || waiting[string(key)] {
-			kind.count(&c.stats.Hits, q)
+		if _, ok := table[string(key)]; ok || missed[string(key)] {
+			tally(&c.stats.Hits, key)
 			continue
 		}
-		if call, ok := c.inflight[string(key)]; ok {
-			// Another caller is posting this HIT right now.
-			kind.count(&c.stats.Hits, q)
-			if waiting == nil {
-				waiting = make(map[string]bool)
-			}
-			waiting[string(key)] = true
-			waits = append(waits, call)
-			continue
-		}
-		kind.count(&c.stats.Misses, q)
+		tally(&c.stats.Misses, key)
 		k := string(key) // materialized only when the HIT is posted
-		c.inflight[k] = &inflightCall{done: make(chan struct{})}
-		if owned == nil {
-			owned = make(map[string]bool)
+		if missed == nil {
+			missed = make(map[string]bool)
 		}
-		owned[k] = true
+		missed[k] = true
 		missQs = append(missQs, q)
 		missKeys = append(missKeys, k)
 	}
-	c.mu.Unlock()
+	c.keyBuf, c.offScratch = arena, offs
 
-	var missAnswers []A
-	var missErr error
+	var err error
 	if len(missQs) > 0 {
-		missAnswers, missErr = kind.post(c.inner, missQs)
-	}
-	// A failing inner batch may still have committed a prefix (a budget
-	// governor admits what the remaining budget affords — those HITs
-	// were posted and paid): cache the committed answers, release the
-	// refused keys with the error. Errors are never cached.
-	c.mu.Lock()
-	for j, key := range missKeys {
-		call := c.inflight[key]
-		delete(c.inflight, key)
-		if j < len(missAnswers) {
-			table[key] = kind.clone(missAnswers[j])
-		} else {
-			call.err = missErr
-		}
-		close(call.done)
-	}
-	c.mu.Unlock()
-	// Wait in round-scan order, not map order: when several in-flight
-	// calls fail with different errors, the error this round surfaces
-	// must be the same on every run — map order would hand the retry
-	// classifier a different error each time.
-	for _, call := range waits {
-		<-call.done
-		if call.err != nil && missErr == nil {
-			missErr = call.err
+		var missAnswers []A
+		missAnswers, err = post(c.inner, missQs)
+		// A failing inner batch may still have committed a prefix (a
+		// budget governor admits what the remaining budget affords —
+		// those HITs were posted and paid): cache the committed
+		// answers. Errors are never cached.
+		for j := 0; j < len(missAnswers) && j < len(missKeys); j++ {
+			table[missKeys[j]] = clone(missAnswers[j])
 		}
 	}
 	// Assemble positionally; on error, honor the BatchOracle
@@ -329,21 +249,17 @@ func cacheRound[Q, A any](c *CachingOracle, qs []Q, kind cacheKind[Q, A]) ([]A, 
 	// (cache hits plus committed misses) alongside the error, so a
 	// lockstep round delivers every paid answer instead of discarding
 	// them.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.keyBuf, c.offScratch = arena, offs
 	answers := make([]A, len(qs))
 	for i := range qs {
 		ans, ok := table[string(arena[offs[2*i]:offs[2*i+1]])]
 		if !ok {
-			if missErr == nil {
-				missErr = errors.New("core: cache round left a query unanswered")
+			if err == nil {
+				err = errors.New("core: cache round left a query unanswered")
 			}
-			return answers[:i], missErr
+			return answers[:i], err
 		}
-		answers[i] = kind.clone(ans)
+		answers[i] = clone(ans)
 	}
-	// Every request was answered (a failure elsewhere never blocked
-	// this round's keys): the full round committed.
+	// Every request was answered: the full round committed.
 	return answers, nil
 }

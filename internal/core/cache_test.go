@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"imagecvg/internal/dataset"
 	"imagecvg/internal/pattern"
@@ -188,8 +190,8 @@ func TestCacheBatchCollapsesDuplicates(t *testing.T) {
 	}
 }
 
-// blockingOracle parks every inner call until released, to prove
-// in-flight deduplication.
+// blockingOracle parks every inner call until released, so concurrent
+// callers queue behind the round holding the cache.
 type blockingOracle struct {
 	inner   Oracle
 	entered chan struct{}
@@ -240,7 +242,7 @@ func TestCacheCollapsesConcurrentIdenticalQueries(t *testing.T) {
 		}
 	}
 	if inner.Tasks().Set != 1 {
-		t.Errorf("inner set HITs = %d, want 1 (in-flight dedup)", inner.Tasks().Set)
+		t.Errorf("inner set HITs = %d, want 1 (one paid HIT per distinct key)", inner.Tasks().Set)
 	}
 }
 
@@ -302,66 +304,72 @@ func TestCachePointQueryReturnsCopies(t *testing.T) {
 	}
 }
 
-// perIDErrOracle blocks each PointQuery until released, then fails it
-// with a per-id error. Set queries are unused.
-type perIDErrOracle struct {
-	entered chan dataset.ObjectID
-	release chan struct{}
-	errs    map[dataset.ObjectID]error
+// roundGaugeOracle is a native batch oracle that fails each point
+// query with a per-id error and records the high-water mark of rounds
+// inside it at once. Set queries are unused.
+type roundGaugeOracle struct {
+	oneQueryRounds
+	errs         map[dataset.ObjectID]error
+	inside, peak atomic.Int64
 }
 
-func (o *perIDErrOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return false, errors.New("unused")
+func (o *roundGaugeOracle) SetQueryBatch([]SetRequest) ([]bool, error) {
+	return nil, errors.New("unused")
 }
-func (o *perIDErrOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return false, errors.New("unused")
-}
-func (o *perIDErrOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	o.entered <- id
-	<-o.release
-	return nil, o.errs[id]
+func (o *roundGaugeOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	n := o.inside.Add(1)
+	defer o.inside.Add(-1)
+	for peak := o.peak.Load(); n > peak && !o.peak.CompareAndSwap(peak, n); peak = o.peak.Load() {
+	}
+	time.Sleep(time.Millisecond) // hold the round open for any overlap
+	for i, id := range ids {
+		if err := o.errs[id]; err != nil {
+			return make([][]int, i), err
+		}
+	}
+	return make([][]int, len(ids)), nil
 }
 
-// TestCacheWaitErrorDeterministic pins the fix for a map-order leak
-// the cvglint maprange rule surfaced: when a batch waits on several
-// in-flight calls that fail with different errors, the error the
-// round reports must be the first in request-scan order — not
-// whichever the waits map yields first. The old code handed the retry
-// classifier a coin-flip between err1 and err2.
+// TestCacheWaitErrorDeterministic: concurrent callers take turns per
+// round, so at most one cache round is ever inside the inner oracle,
+// a failing round reports the error of its request-order-first
+// failing query however the other callers interleave, and only the
+// answered keys are cached. The error a round reports must never
+// depend on map or scheduling order: the retry classifier reads it.
 func TestCacheWaitErrorDeterministic(t *testing.T) {
-	err1 := errors.New("cache test: owner one failed")
-	err2 := errors.New("cache test: owner two failed")
+	err1 := errors.New("cache test: id one failed")
+	err2 := errors.New("cache test: id two failed")
+	rounds := [][]dataset.ObjectID{{1}, {2}, {1, 2}, {3}, {4}}
+	want := []error{err1, err2, err1, nil, nil}
 	for round := 0; round < 10; round++ {
-		inner := &perIDErrOracle{
-			entered: make(chan dataset.ObjectID, 2),
-			release: make(chan struct{}),
-			errs:    map[dataset.ObjectID]error{1: err1, 2: err2},
-		}
-		c := NewCachingOracle(NewBatchAdapter(inner, 1))
+		inner := &roundGaugeOracle{errs: map[dataset.ObjectID]error{1: err1, 2: err2}}
+		inner.oneQueryRounds = oneQueryRounds{inner}
+		c := NewCachingOracle(inner)
 
+		start := make(chan struct{})
+		got := make([]error, len(rounds))
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); c.PointQueryBatch([]dataset.ObjectID{1}) }()
-		go func() { defer wg.Done(); c.PointQueryBatch([]dataset.ObjectID{2}) }()
-		<-inner.entered
-		<-inner.entered // both owners in flight, both ids registered
-
-		var waiterErr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_, waiterErr = c.PointQueryBatch([]dataset.ObjectID{1, 2})
-		}()
-		// The waiter's scan counts both ids as hits the moment it
-		// parks on the in-flight calls; only then may the owners fail.
-		for c.Stats().Hits.Point < 2 {
+		for i, ids := range rounds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, got[i] = c.PointQueryBatch(ids)
+			}()
 		}
-		close(inner.release)
+		close(start)
 		wg.Wait()
-		<-done
 
-		if !errors.Is(waiterErr, err1) {
-			t.Fatalf("round %d: waiter got %v, want the scan-order-first error %v", round, waiterErr, err1)
+		if peak := inner.peak.Load(); peak != 1 {
+			t.Fatalf("round %d: %d cache rounds inside the inner oracle at once, want 1", round, peak)
+		}
+		for i := range rounds {
+			if !errors.Is(got[i], want[i]) {
+				t.Fatalf("round %d: %v got %v, want the request-order-first error %v", round, rounds[i], got[i], want[i])
+			}
+		}
+		if st := c.Stats(); st.Misses.Point != 6 || st.Hits.Point != 0 || c.Len() != 2 {
+			t.Fatalf("round %d: stats %+v, %d cached, want 6 misses and only ids 3 and 4 cached", round, st, c.Len())
 		}
 	}
 }

@@ -52,13 +52,17 @@
 //     rounds of max(1, tau - verified) point queries whose answers
 //     commit in predicted-set order with a deterministic early stop
 //     (stop at the first index where verified >= tau, discard later
-//     in-flight answers), and the Partition phase as one reverse-set
-//     round per tree level with the paper's sibling inference applied
-//     at commit time.
+//     in-flight answers), and the Partition phase as rounds of the
+//     FIFO queue's front, clipped to the nodes whose cumulative size
+//     reaches the count still needed and to the governor's headroom,
+//     with the paper's sibling inference applied at commit time.
 //   - CachingOracle (cache.go) deduplicates identical queries on a
-//     canonicalized key (sorted id-set plus group members) with
-//     in-flight collapsing; errors are never cached. It sits above
-//     every layer but retry, so a hit reaches no other layer.
+//     canonicalized key (sorted id-set plus group members); errors are
+//     never cached. It sits above every layer but retry, so a hit
+//     reaches no other layer, and it runs each round under its lock,
+//     the way trust, the journal and the crowd platform do: concurrent
+//     callers take turns per round, and duplicates inside a round
+//     collapse onto one HIT.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
 //     jittered backoff. The retry wrapper tops the Stack, below the
 //     scheduler, so a transient failure is absorbed inside its round:
@@ -262,8 +266,9 @@
 // the trust layer its probe-augmented round. The caching oracle
 // (cache.go) builds keys into reused byte scratch and looks them up
 // via Go's allocation-free map[string(bytes)] form, materializing a
-// string only when a key is stored; batch rounds steal the scratch for
-// the duration of the call so keys survive the unlock. The crowd
+// string only when a key is stored; the scratch is safe to reuse
+// because a round holds the cache lock until its answers are
+// assembled. The crowd
 // platform reuses its worker-draw permutation, answer, glyph and label
 // buffers under the platform lock, and renders glyphs lazily on first
 // reference.

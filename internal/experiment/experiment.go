@@ -120,13 +120,6 @@ type TrialResult[T any] struct {
 	Value T
 	// Elapsed is the trial's wall-clock.
 	Elapsed time.Duration
-	// Cache is the shared oracle's cumulative hit/miss tally when the
-	// trial ended, for oracles that expose one (CachingOracle). At
-	// Parallelism 1 consecutive snapshots attribute misses to trials
-	// exactly; under parallel trials they only bound them.
-	Cache core.CacheStats
-	// HasCache marks Cache as meaningful.
-	HasCache bool
 }
 
 // Result is one cell's aggregated outcome.
@@ -189,9 +182,6 @@ func (r *Result[T]) TrialTime() time.Duration {
 	}
 	return total
 }
-
-// statser is implemented by oracles that tally cache effectiveness.
-type statser interface{ Stats() core.CacheStats }
 
 // Run executes one cell: Config.Trials repetitions of fn across at
 // most Config.Parallelism workers. Trial results are assembled in
@@ -274,11 +264,7 @@ func RunMany[T any](cfgs []Config, fn func(cell int, t Trial) (T, error)) ([]*Re
 			return err
 		}
 		elapsed := time.Since(start)
-		tr := TrialResult[T]{Index: index, Seed: t.Seed, Value: value, Elapsed: elapsed}
-		if s, ok := t.Oracle.(statser); ok {
-			tr.Cache, tr.HasCache = s.Stats(), true
-		}
-		results[cell].Trials[index] = tr
+		results[cell].Trials[index] = TrialResult[T]{Index: index, Seed: t.Seed, Value: value, Elapsed: elapsed}
 		cfg.Timing.observe(cfg.Name, elapsed)
 		return nil
 	})

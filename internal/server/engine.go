@@ -482,10 +482,16 @@ func (e *Engine) finish(j *job, state JobState, res *JobResult, err error) {
 		ev.Error = err.Error()
 	}
 	e.publish(j, ev)
+	close(j.done)
+	j.releaseSubs()
+}
+
+// releaseSubs closes and detaches every subscriber of the job; a later
+// Subscribe gets an already-closed channel.
+func (j *job) releaseSubs() {
 	j.mu.Lock()
 	subs := j.subs
 	j.subs = nil
-	close(j.done)
 	j.mu.Unlock()
 	//lint:ordered closes distinct channels; no subscriber observes another's close order
 	for _, ch := range subs {
@@ -662,7 +668,9 @@ func (e *Engine) publish(j *job, ev Event) {
 // Close stops the engine: no new submissions, running jobs are
 // cancelled at their next round boundary and park non-terminal (their
 // journals resume them on the next engine start), and the worker pool
-// drains before Close returns.
+// drains before Close returns. The parked jobs' subscribers are then
+// released, so open progress streams end instead of waiting for a
+// terminal event this process will never publish.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if !e.closed {
@@ -673,5 +681,14 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	e.baseCancel()
 	e.wg.Wait()
+	e.mu.Lock()
+	jobs := make([]*job, len(e.order))
+	for i, id := range e.order {
+		jobs[i] = e.jobs[id]
+	}
+	e.mu.Unlock()
+	for _, j := range jobs {
+		j.releaseSubs()
+	}
 	return nil
 }

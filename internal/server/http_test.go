@@ -6,11 +6,16 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -278,5 +283,96 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("exhausted tenant submit = %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestEngineCloseLeaksNothing runs a fleet through the HTTP surface —
+// finished jobs, a cancelled job, and an SSE subscriber on a job still
+// running at shutdown — then closes the engine and the server. Close
+// must end the open stream (a parked job's subscribers are released,
+// not left waiting for a terminal event that never comes), and the
+// process must come back to its pre-engine goroutine and descriptor
+// counts.
+func TestEngineCloseLeaksNothing(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	// The runtime's network poller keeps its descriptors for the life
+	// of the process; open it before taking the baseline.
+	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
+		ln.Close()
+	}
+	baseG, baseFD := runtime.NumGoroutine(), fds()
+
+	e, err := NewEngine(Options{DataDir: t.TempDir(), Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(e.Handler())
+	client := &http.Client{Transport: &http.Transport{}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var done []string
+	for seed := int64(1); seed <= 4; seed++ {
+		done = append(done, postJob(t, ts, smallJob(seed)).ID)
+	}
+	cancelled := postJob(t, ts, slowJob(5)).ID
+	live := slowJob(6)
+	live.HITDelayMicros = 20000 // still running when the engine closes
+	streamed := postJob(t, ts, live).ID
+
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/jobs/"+streamed+"/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamEnded := make(chan struct{})
+	go func() {
+		defer close(streamEnded)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	cancelReq, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+cancelled, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := client.Do(cancelReq); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	for _, id := range append(done, cancelled) {
+		waitTerminal(t, e, id)
+	}
+
+	e.Close()
+	select {
+	case <-streamEnded:
+	case <-time.After(10 * time.Second):
+		t.Error("SSE stream still open 10s after Engine.Close")
+		cancel() // hang up from the client side so the server can close
+		<-streamEnded
+	}
+	ts.Close()
+	client.CloseIdleConnections()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		g, fd := runtime.NumGoroutine(), fds()
+		if g <= baseG && fd <= baseFD {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d goroutines (baseline %d), %d descriptors (baseline %d)", g, baseG, fd, baseFD)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
