@@ -10,6 +10,8 @@ package imagecvg
 // reproduces the entire evaluation. Absolute HIT counts carry
 // simulation randomness; the shapes (who wins, by what factor, where
 // crossovers fall) are asserted by the test suite in internal/sim.
+// End-to-end throughput and per-layer costs are measured by the
+// perfbench module (bash perfbench/run.sh), not here.
 
 import (
 	"fmt"
@@ -129,50 +131,8 @@ func BenchmarkAggregation(b *testing.B) { benchExperiment(b, "aggregation") }
 // BenchmarkLockstepLatency regenerates the latency-bound lockstep
 // comparison: the deterministic round scheduler at parallelism 4 must
 // keep a >= 2x wall-clock win over width 1 under per-HIT crowd
-// latency. This is the record the CI regression gate
-// tracks in BENCH_core.json.
+// latency (TestLockstepLatencyRetainsSpeedup gates the ratio).
 func BenchmarkLockstepLatency(b *testing.B) { benchExperiment(b, "lockstep-latency") }
-
-// BenchmarkJournalOverhead regenerates the checkpoint-cost comparison:
-// the same latency-bound lockstep workload bare vs through the fsynced
-// round journal. Crash-safety should cost one JSON encode plus one
-// fsync per committed round — a few percent, not a multiple — and the
-// CI regression gate tracks the record in BENCH_core.json.
-func BenchmarkJournalOverhead(b *testing.B) { benchExperiment(b, "journal-overhead") }
-
-// benchAuditThroughput runs one cell of the CPU-bound throughput
-// harness directly (not through benchExperiment: the harness measures
-// its own audit region, and the benchmark surfaces those numbers as
-// custom metrics next to the standard allocs/op).
-func benchAuditThroughput(b *testing.B, multiple bool) {
-	b.ReportAllocs()
-	var res *sim.ThroughputResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = sim.RunAuditThroughput(sim.DefaultThroughputParams(),
-			sim.Options{Seed: benchSeed, Trials: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	row := res.Rows[0]
-	if !multiple {
-		row = res.Rows[1]
-	}
-	b.ReportMetric(row.HITsPerSec, "HITs/sec")
-	b.ReportMetric(row.AllocsPerHIT, "allocs/HIT")
-}
-
-// BenchmarkAuditThroughputMultiple measures the CPU-bound inner loop of
-// Multiple-Coverage over the zero-delay crowd platform: ~3x10^4
-// committed set HITs per run, reported as HITs/sec and allocs/HIT —
-// the record the CI regression gate tracks in BENCH_core.json.
-func BenchmarkAuditThroughputMultiple(b *testing.B) { benchAuditThroughput(b, true) }
-
-// BenchmarkAuditThroughputClassifier measures the CPU-bound
-// Classifier-Coverage cell (precision sample + Partition phase) of the
-// same harness.
-func BenchmarkAuditThroughputClassifier(b *testing.B) { benchAuditThroughput(b, false) }
 
 // --- trial-runner benchmarks -----------------------------------------------
 

@@ -149,7 +149,9 @@
 // 95% CI) follows trial order, so results are byte-identical at every
 // parallelism level — the entire paper evaluation (cvgbench) rides it,
 // and a shared query cache can span all trials of a configuration so
-// re-audits of one dataset amortize their HITs.
+// re-audits of one dataset amortize their HITs. cvgbench only prints
+// the artifacts; throughput and per-layer costs are measured by the
+// perfbench module (bash perfbench/run.sh).
 //
 // The determinism contract underpinning all of the above is enforced
 // mechanically: cmd/cvglint is a vet-compatible static analyzer suite

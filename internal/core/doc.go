@@ -244,10 +244,10 @@
 // perceive a glyph, aggregate — is allocation-free at steady state.
 // The profiling workflow that keeps it that way:
 //
-//	cvgbench -exp audit-throughput                # HITs/sec + allocs/HIT
-//	cvgbench -exp audit-throughput -cpuprofile p -memprofile p
-//	go tool pprof p/audit-throughput.mem.pprof
-//	go test -bench AuditThroughput -benchmem .    # the gate CI watches
+//	bash perfbench/run.sh --workload crowd-audit --seed 1 --seconds 5 --trace 1
+//	    # tasks/s, runtime.allocs_per_task and ns/HIT per stack layer
+//	go test -run '^$' -bench Perceive -benchmem -cpuprofile cpu.pprof ./internal/imagegen
+//	go tool pprof cpu.pprof
 //
 // Rounds are the unit of fixed cost — a scheduler hand-off, a
 // journal record and its fsync, a trust feed read — so the engine

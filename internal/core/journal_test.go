@@ -40,13 +40,14 @@ func (deadOracle) ReverseSetQuery([]dataset.ObjectID, pattern.Group) (bool, erro
 }
 func (deadOracle) PointQuery(dataset.ObjectID) ([]int, error) { return nil, errDeadOracle }
 
-// journalAudit runs one lockstep Multiple-Coverage audit through a
-// journaling middleware over o and returns its serialized result.
-func journalAudit(t *testing.T, d *dataset.Dataset, jo *JournalingOracle, seed int64) string {
+// journalAudit runs one lockstep Multiple-Coverage audit through o (a
+// journaling middleware, or the bare leaf for reference) and returns
+// its serialized result.
+func journalAudit(t *testing.T, d *dataset.Dataset, o Oracle, seed int64) string {
 	t.Helper()
 	s := raceSchema()
 	groups := pattern.GroupsForAttribute(s, 0)
-	res, err := MultipleCoverage(jo, d.IDs(), 20, 20, groups, MultipleOptions{
+	res, err := MultipleCoverage(o, d.IDs(), 20, 20, groups, MultipleOptions{
 		Rng: rand.New(rand.NewSource(seed)),
 	})
 	if err != nil {
@@ -56,16 +57,26 @@ func journalAudit(t *testing.T, d *dataset.Dataset, jo *JournalingOracle, seed i
 		res.Results, res.SuperAudits, res.RemainingIDs, res.SampleTasks, res.AuditTasks, res.Tasks)
 }
 
-// TestJournalRecordReplay is the tentpole's core property: a journaled
-// audit replays byte-identically from its records alone — the inner
-// oracle of the resumed run is never touched when the journal covers
-// every round.
+// TestJournalRecordReplay is the journal's core property: a fresh
+// journaled audit is a passthrough — it commits the bare leaf's result
+// and pays the leaf the same HITs — and it replays byte-identically
+// from its records alone: the inner oracle of the resumed run is never
+// touched when the journal covers every round.
 func TestJournalRecordReplay(t *testing.T) {
 	s := raceSchema()
 	d := dataset.MustFromCounts(s, []int{400, 30, 25, 22}, rand.New(rand.NewSource(41)))
 
+	bareLeaf := NewTruthOracle(d)
+	bare := journalAudit(t, d, bareLeaf, 7)
 	mem := &memJournal{}
-	live := journalAudit(t, d, NewJournalingOracle(NewTruthOracle(d), mem, nil, nil), 7)
+	leaf := NewTruthOracle(d)
+	live := journalAudit(t, d, NewJournalingOracle(leaf, mem, nil, nil), 7)
+	if live != bare {
+		t.Errorf("journaled result diverged from the bare leaf's:\n%s\nvs\n%s", live, bare)
+	}
+	if got, want := leaf.Tasks(), bareLeaf.Tasks(); got != want {
+		t.Errorf("journaled audit paid the leaf %+v, bare audit %+v", got, want)
+	}
 	if len(mem.recs) == 0 {
 		t.Fatal("live run journaled no rounds")
 	}

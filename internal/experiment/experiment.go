@@ -27,7 +27,6 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"time"
@@ -62,13 +61,6 @@ type Config struct {
 	// wires it into its audit options, falling back to the
 	// experiment's own default when zero.
 	EngineParallelism int
-	// Ctx cancels the cell: a trial whose context is already cancelled
-	// fails before it dispatches, and the engine echoes the context on
-	// Trial.Ctx so the trial body can thread it into its audit options
-	// (core.MultipleOptions.Ctx) — a killed sweep then stops at the next
-	// round boundary instead of finishing the in-flight audits. Nil
-	// means context.Background().
-	Ctx context.Context
 	// Oracle optionally builds the oracle a trial audits through. Nil
 	// when the trial body constructs its own (the common case: each
 	// trial generates its own dataset). Use SharedCache to hand every
@@ -103,9 +95,6 @@ type Trial struct {
 	// EngineParallelism echoes Config.EngineParallelism; zero means
 	// the trial body applies its own default engine width.
 	EngineParallelism int
-	// Ctx echoes Config.Ctx (never nil): thread it into the audit
-	// options so cancellation reaches the round boundaries.
-	Ctx context.Context
 	// Oracle is the cell's shared oracle when Config.Oracle is set;
 	// nil otherwise.
 	Oracle core.Oracle
@@ -237,19 +226,11 @@ func RunMany[T any](cfgs []Config, fn func(cell int, t Trial) (T, error)) ([]*Re
 			defer func() { <-sem }()
 		}
 		cfg := &results[cell].Config
-		ctx := cfg.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		t := Trial{
 			Cell:              cell,
 			Index:             index,
 			Seed:              cfg.Seed + int64(index),
 			EngineParallelism: cfg.EngineParallelism,
-			Ctx:               ctx,
 		}
 		t.Rng = rand.New(rand.NewSource(t.Seed))
 		if cfg.Oracle != nil {

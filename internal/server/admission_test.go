@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"syscall"
+	"strings"
 	"testing"
-	"time"
+
+	"imagecvg/internal/dataset"
 )
 
 // boundedJob is a small valid job the admission cases push one field
@@ -83,7 +84,8 @@ func FuzzJobConfig(f *testing.F) {
 		`{"mode":"multiple","dataset":{"n":60,"minority":5,"seed":1},"tau":4,"set_size":8,"seed":1}`,
 		`{"mode":"classifier","dataset":{"n":200,"minority":16},"oracle":"crowd","assignments":3,"pool_size":30,"parallelism":4}`,
 		`{"mode":"intersectional","dataset":{"n":1000001},"hit_delay_micros":1000001}`,
-		`{"dataset":{"path":"d.json"},"set_size":-1,"parallelism":257}`,
+		`{"dataset":{"n":10},"set_size":-1,"parallelism":257}`,
+		`{"dataset":{"path":"d.json"}}`,
 		`{"dataset":{"n":10}} trailing`,
 		`{"bogus":1}`,
 		``,
@@ -101,8 +103,8 @@ func FuzzJobConfig(f *testing.F) {
 			}
 			return
 		}
-		if cfg.Dataset.Path == "" && (cfg.Dataset.N < 1 || cfg.Dataset.N > maxDatasetN ||
-			cfg.Dataset.Minority < 0 || cfg.Dataset.Minority > cfg.Dataset.N) {
+		if cfg.Dataset.N < 1 || cfg.Dataset.N > maxDatasetN ||
+			cfg.Dataset.Minority < 0 || cfg.Dataset.Minority > cfg.Dataset.N {
 			t.Fatalf("accepted dataset %+v", cfg.Dataset)
 		}
 		switch {
@@ -117,43 +119,45 @@ func FuzzJobConfig(f *testing.F) {
 	})
 }
 
-// TestDatasetPathMustBeRegularFile: a dataset path naming a FIFO or a
-// directory is refused at admission with ErrInvalidConfig. Admitted,
-// the FIFO job parks its worker in the dataset load until some writer
-// opens the FIFO; the test waits 2 s for that, then opens it itself so
-// the engine can close.
-func TestDatasetPathMustBeRegularFile(t *testing.T) {
-	dir := t.TempDir()
-	fifo := filepath.Join(dir, "dataset.fifo")
-	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
-		t.Skipf("mkfifo: %v", err)
+// TestDatasetPathRejected: a job config naming a dataset file is
+// refused with 400, even when the file is a valid dataset. A client
+// may not make the service open files on its host; every job audits a
+// generated dataset inside the maxDatasetN bound.
+func TestDatasetPathRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.json")
+	ds, err := dataset.BinaryWithMinority(60, 5, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SaveJSON(path); err != nil {
+		t.Fatal(err)
 	}
 	e := newTestEngine(t, Options{Workers: 1})
-	for _, path := range []string{fifo, dir} {
-		cfg := boundedJob()
-		cfg.Dataset = DatasetSpec{Path: path}
-		id, err := e.Submit(cfg)
-		if errors.Is(err, ErrInvalidConfig) {
-			continue
-		}
-		if err != nil {
-			t.Errorf("dataset path %s: Submit = %v, want ErrInvalidConfig", path, err)
-			continue
-		}
-		done := make(chan JobStatus, 1)
-		go func() {
-			st, _ := e.Wait(id)
-			done <- st
-		}()
-		select {
-		case st := <-done:
-			t.Errorf("dataset path %s admitted (job %s: %s), want ErrInvalidConfig", path, st.State, st.Error)
-		case <-time.After(2 * time.Second):
-			t.Errorf("dataset path %s admitted and parked the job worker for 2s, want ErrInvalidConfig", path)
-			if f, err := os.OpenFile(fifo, os.O_WRONLY, 0); err == nil {
-				f.Close()
-			}
-			<-done
-		}
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	body, err := json.Marshal(map[string]any{
+		"dataset": map[string]any{"path": path}, "tau": 4, "set_size": 8, "seed": 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reply struct {
+		Error string `json:"error"`
+		ID    string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /jobs with dataset.path = %d (job %q), want 400", resp.StatusCode, reply.ID)
+	}
+	if !strings.Contains(reply.Error, `"path"`) {
+		t.Errorf("400 error %q does not name the path field", reply.Error)
 	}
 }

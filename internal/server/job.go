@@ -26,7 +26,6 @@ package server
 
 import (
 	"fmt"
-	"os"
 
 	"imagecvg/internal/core"
 	"imagecvg/internal/pattern"
@@ -64,15 +63,15 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// DatasetSpec names the dataset a job audits: either a dataset JSON
-// file (Path) or a generated binary-gender dataset with exactly
-// Minority females among N objects, seeded deterministically — the
-// same construction as the root GenerateBinary.
+// DatasetSpec names the dataset a job audits: a generated
+// binary-gender dataset with exactly Minority females among N objects,
+// seeded deterministically — the same construction as the root
+// GenerateBinary. A job never names a file: the service opens no
+// client-chosen path, and every dataset stays inside maxDatasetN.
 type DatasetSpec struct {
-	Path     string `json:"path,omitempty"`
-	N        int    `json:"n,omitempty"`
-	Minority int    `json:"minority,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
+	N        int   `json:"n,omitempty"`
+	Minority int   `json:"minority,omitempty"`
+	Seed     int64 `json:"seed,omitempty"`
 }
 
 // JobConfig is a submitted audit: everything the engine needs to run
@@ -156,17 +155,11 @@ func (c *JobConfig) normalize() error {
 	default:
 		return badConfig("unknown mode %q", c.Mode)
 	}
-	if c.Dataset.Path != "" {
-		if err := regularFile(c.Dataset.Path); err != nil {
-			return badConfig("dataset path: %v", err)
-		}
-	} else {
-		if c.Dataset.N <= 0 || c.Dataset.N > maxDatasetN {
-			return badConfig("dataset needs a path or an n in [1, %d], got %d", maxDatasetN, c.Dataset.N)
-		}
-		if c.Dataset.Minority < 0 || c.Dataset.Minority > c.Dataset.N {
-			return badConfig("dataset minority %d outside [0, %d]", c.Dataset.Minority, c.Dataset.N)
-		}
+	if c.Dataset.N <= 0 || c.Dataset.N > maxDatasetN {
+		return badConfig("dataset n must be in [1, %d], got %d", maxDatasetN, c.Dataset.N)
+	}
+	if c.Dataset.Minority < 0 || c.Dataset.Minority > c.Dataset.N {
+		return badConfig("dataset minority %d outside [0, %d]", c.Dataset.Minority, c.Dataset.N)
 	}
 	if c.Tau == 0 {
 		c.Tau = 50
@@ -209,20 +202,6 @@ func (c *JobConfig) normalize() error {
 	}
 	if c.HITDelayMicros < 0 || c.HITDelayMicros > maxHITDelayMicros {
 		return badConfig("hit delay must be in [0, %d] microseconds, got %d", maxHITDelayMicros, c.HITDelayMicros)
-	}
-	return nil
-}
-
-// regularFile refuses a dataset path that is not a regular file: a
-// FIFO, device or directory would block or wedge the job worker that
-// loads it. Stat never opens the file, so a FIFO cannot block here.
-func regularFile(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	if !fi.Mode().IsRegular() {
-		return fmt.Errorf("%s is not a regular file (mode %v)", path, fi.Mode().Type())
 	}
 	return nil
 }

@@ -26,7 +26,9 @@ import (
 // configuration, at every parallelism level and across a kill/restart.
 func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err error) {
 	cfg := j.cfg
-	ds, err := buildDataset(cfg.Dataset)
+	// The same construction as the root GenerateBinary.
+	ds, err := dataset.BinaryWithMinority(cfg.Dataset.N, cfg.Dataset.Minority,
+		rand.New(rand.NewSource(cfg.Dataset.Seed)))
 	if err != nil {
 		return nil, err
 	}
@@ -162,18 +164,6 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 		}
 		return ResultFromMultiple(mr, spent()), nil
 	}
-}
-
-// buildDataset realizes a job's dataset spec; generated datasets use
-// the same construction as the root GenerateBinary.
-func buildDataset(spec DatasetSpec) (*dataset.Dataset, error) {
-	if spec.Path != "" {
-		if err := regularFile(spec.Path); err != nil {
-			return nil, fmt.Errorf("server: dataset: %w", err)
-		}
-		return dataset.LoadJSON(spec.Path)
-	}
-	return dataset.BinaryWithMinority(spec.N, spec.Minority, rand.New(rand.NewSource(spec.Seed)))
 }
 
 // newPlatform builds the simulated crowd for a job, mirroring the

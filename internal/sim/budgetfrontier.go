@@ -73,29 +73,6 @@ type BudgetFrontierResult struct {
 	Rows        []BudgetFrontierRow
 }
 
-// TotalTasks sums the mean committed task counts, for machine
-// consumers (cvgbench -json).
-func (r *BudgetFrontierResult) TotalTasks() float64 {
-	total := 0.0
-	for _, row := range r.Rows {
-		total += row.Tasks
-	}
-	return total
-}
-
-// BudgetCells reports how many grid cells ran under a binding cap and
-// how many actually exhausted it, for the benchmark history's budget
-// columns.
-func (r *BudgetFrontierResult) BudgetCells() (cells, exhausted int) {
-	for _, row := range r.Rows {
-		cells++
-		if row.ExhaustedFrac > 0 {
-			exhausted++
-		}
-	}
-	return cells, exhausted
-}
-
 // String renders the budget-vs-accuracy curve per workload.
 func (r *BudgetFrontierResult) String() string {
 	t := stats.NewTable("N", "tau", "budget frac", "max HITs", "committed", "settled", "verdict accuracy", "exhausted trials")

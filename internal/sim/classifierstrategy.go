@@ -57,15 +57,6 @@ type ClassifierStrategyResult struct {
 	Rows   []ClassifierStrategyRow
 }
 
-// TotalTasks implements the cvgbench task totaler.
-func (r *ClassifierStrategyResult) TotalTasks() float64 {
-	total := 0.0
-	for _, row := range r.Rows {
-		total += row.ClassifierHITs
-	}
-	return total
-}
-
 // String renders the comparison.
 func (r *ClassifierStrategyResult) String() string {
 	t := stats.NewTable("FP rate", "strategy", "Classifier-Coverage #HITs",

@@ -76,16 +76,6 @@ type MultiResult struct {
 	Rows      []MultiRow
 }
 
-// TotalTasks sums the heuristic's tasks over all rows, for machine
-// consumers (cvgbench -json).
-func (r *MultiResult) TotalTasks() float64 {
-	total := 0.0
-	for _, row := range r.Rows {
-		total += row.HeuristicTasks
-	}
-	return total
-}
-
 // String renders the bars as a table.
 func (r *MultiResult) String() string {
 	t := stats.NewTable("setting", r.Heuristic+" tasks", "Group-Coverage (brute force) tasks")

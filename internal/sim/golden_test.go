@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"imagecvg/internal/stats"
@@ -29,10 +30,41 @@ var update = flag.Bool("update", false, "rewrite the golden files from width-1 r
 // goldenExcluded lists artifacts whose rendering carries wall-clock
 // measurements and therefore cannot be byte-compared across machines.
 var goldenExcluded = map[string]string{
-	"lockstep-latency":   "renders wall-clock; covered by the benchmark history gate instead",
-	"journal-overhead":   "renders wall-clock; covered by the benchmark history gate instead",
-	"audit-throughput":   "renders wall-clock and allocation counts; covered by the benchmark history gate instead",
-	"service-throughput": "renders wall-clock and heap sizes; covered by the benchmark history gate instead",
+	"lockstep-latency": "renders wall-clock; TestLockstepLatencyRetainsSpeedup gates its speedup and task counts instead",
+}
+
+// TestGoldenRegistryConsistent: every registered experiment is either
+// golden-pinned or excluded with a reason, never both, and every golden
+// file and exclusion row names a registered experiment — so deleting an
+// experiment cannot leave an orphaned golden or exclusion behind, and
+// adding one cannot skip the golden suite silently.
+func TestGoldenRegistryConsistent(t *testing.T) {
+	registered := map[string]bool{}
+	for _, e := range Experiments() {
+		registered[e.ID] = true
+		_, err := os.Stat(filepath.Join("testdata", e.ID+".golden"))
+		_, excluded := goldenExcluded[e.ID]
+		switch {
+		case err == nil && excluded:
+			t.Errorf("%s has a golden file and a goldenExcluded row", e.ID)
+		case err != nil && !excluded:
+			t.Errorf("%s has neither a golden file nor a goldenExcluded row: %v", e.ID, err)
+		}
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range goldens {
+		if id := strings.TrimSuffix(filepath.Base(path), ".golden"); !registered[id] {
+			t.Errorf("golden file %s names no registered experiment", path)
+		}
+	}
+	for id := range goldenExcluded {
+		if !registered[id] {
+			t.Errorf("goldenExcluded row %q names no registered experiment", id)
+		}
+	}
 }
 
 // canonicalArtifact renders an experiment result without its

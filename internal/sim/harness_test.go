@@ -152,9 +152,6 @@ func TestRunSweepGrid(t *testing.T) {
 	if !strings.Contains(out, "cache hit rate") || !strings.Contains(out, "engine parallelism") {
 		t.Errorf("rendering incomplete:\n%s", out)
 	}
-	if res.TotalTasks() <= 0 {
-		t.Error("TotalTasks must sum the grid")
-	}
 }
 
 // TestRecorderSeesEveryTrial: the Options.Timing recorder observes

@@ -67,18 +67,9 @@ func (r *LatencyResult) Speedup() float64 {
 	return r.Rows[0].MillisPerTrial / r.Rows[1].MillisPerTrial
 }
 
-// TotalTasks implements the cvgbench task totaler.
-func (r *LatencyResult) TotalTasks() float64 {
-	total := 0.0
-	for _, row := range r.Rows {
-		total += row.Tasks
-	}
-	return total
-}
-
 // String renders the comparison. The table carries wall-clock, so this
-// artifact is excluded from the byte-exact golden suite; its role is
-// the latency-bound benchmark history (BENCH_core.json) CI gates on.
+// artifact is excluded from the byte-exact golden suite;
+// TestLockstepLatencyRetainsSpeedup gates its speedup instead.
 func (r *LatencyResult) String() string {
 	t := stats.NewTable("engine", "Multiple-Coverage tasks", "ms/trial")
 	for _, row := range r.Rows {

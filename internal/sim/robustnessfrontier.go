@@ -83,16 +83,6 @@ type RobustnessFrontierResult struct {
 	Rows   []RobustnessFrontierRow
 }
 
-// TotalTasks sums the mean committed task counts, for machine
-// consumers (cvgbench -json).
-func (r *RobustnessFrontierResult) TotalTasks() float64 {
-	total := 0.0
-	for _, row := range r.Rows {
-		total += row.Tasks
-	}
-	return total
-}
-
 // String renders the robustness curve per strategy.
 func (r *RobustnessFrontierResult) String() string {
 	t := stats.NewTable("strategy", "rate", "trust", "tasks", "settled", "verdict accuracy", "excluded", "probes")

@@ -17,11 +17,11 @@
 //
 // The harness is shared by the cvgbench CLI and by the repository's
 // testing.B benchmarks, so `go test -bench .` reproduces the entire
-// evaluation.
+// evaluation. It regenerates artifacts and measures nothing: the
+// performance harness is the perfbench module.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -49,11 +49,6 @@ type Options struct {
 	// Timing optionally collects per-trial wall-clock across the
 	// experiment's cells (surfaced by cvgbench).
 	Timing *experiment.Recorder
-	// Ctx cancels a running experiment: trials that have not started
-	// fail fast, and trial bodies that thread Trial.Ctx into their
-	// audit options stop at the next committed round. Nil runs to
-	// completion.
-	Ctx context.Context
 }
 
 // cell builds the engine config for one cell of an experiment grid,
@@ -66,7 +61,6 @@ func (o Options) cell(name string, seedOffset int64) experiment.Config {
 		Parallelism:       o.Parallelism,
 		EngineParallelism: o.EngineParallelism,
 		Timing:            o.Timing,
-		Ctx:               o.Ctx,
 	}
 }
 
@@ -248,27 +242,6 @@ func Experiments() []Experiment {
 			Description: "latency-bound wall-clock of the lockstep scheduler at width P vs width 1 (per-HIT round-trip delay)",
 			Run: func(o Options) (fmt.Stringer, error) {
 				return RunLockstepLatency(DefaultLatencyParams(), o)
-			},
-		},
-		{
-			ID: "audit-throughput", Paper: "extension",
-			Description: "CPU-bound HITs/sec and allocs/HIT of Multiple/Classifier audits over the zero-delay crowd platform (lockstep engine)",
-			Run: func(o Options) (fmt.Stringer, error) {
-				return RunAuditThroughput(DefaultThroughputParams(), o)
-			},
-		},
-		{
-			ID: "service-throughput", Paper: "extension",
-			Description: "audit-service jobs/sec and steady-state heap under a fleet of small concurrent jobs (journal-per-job engine)",
-			Run: func(o Options) (fmt.Stringer, error) {
-				return RunServiceThroughput(DefaultServiceThroughputParams(), o)
-			},
-		},
-		{
-			ID: "journal-overhead", Paper: "extension",
-			Description: "checkpoint cost of the fsynced round journal vs the bare lockstep stack (per-HIT round-trip delay)",
-			Run: func(o Options) (fmt.Stringer, error) {
-				return RunJournalOverhead(DefaultJournalOverheadParams(), o)
 			},
 		},
 	}

@@ -7,8 +7,8 @@ import (
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 25 {
-		t.Fatalf("registry has %d experiments, want 25 (2 tables + 2 fig6 + 8 fig7 + 13 extensions)", len(exps))
+	if len(exps) != 22 {
+		t.Fatalf("registry has %d experiments, want 22 (2 tables + 2 fig6 + 8 fig7 + 10 extensions)", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {

@@ -69,16 +69,6 @@ type SweepResult struct {
 	Workloads []SweepWorkload
 }
 
-// TotalTasks sums the mean task counts, for machine consumers
-// (cvgbench -json).
-func (r *SweepResult) TotalTasks() float64 {
-	total := 0.0
-	for _, row := range r.Rows {
-		total += row.Tasks
-	}
-	return total
-}
-
 // String renders the grid and the per-workload cache summary.
 func (r *SweepResult) String() string {
 	t := stats.NewTable("N", "tau", "engine parallelism", "Multiple-Coverage tasks", "ms/trial")
