@@ -52,9 +52,10 @@
 //     oracle the verdicts and task counts equal the paper's
 //     sequential algorithms at every parallelism level.
 //   - Auditor.WithCache adds a deduplicating query cache keyed on the
-//     canonicalized id-set and group (length-prefixed, so no crafted
-//     input can collide two distinct queries onto one cached answer),
-//     so a HIT already paid for is never posted twice; transient
+//     id multiset and the group's member patterns (found by a 64-bit
+//     hash, then compared in full on a hash match, so no crafted input
+//     can collide two distinct queries onto one cached answer), so a
+//     HIT already paid for is never posted twice; transient
 //     errors are never cached, and Auditor.WithRetry re-posts them
 //     inside their round instead of aborting.
 //

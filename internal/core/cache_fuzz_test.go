@@ -49,8 +49,9 @@ func abs(v int) int {
 }
 
 // canonicalQuery renders the cache's intended equivalence class: the
-// kind, the sorted member keys and the sorted id multiset. Two queries
-// must share a cache key exactly when their canonical forms match.
+// kind, the sorted members rendered by their slots and the sorted id
+// multiset. Two queries ask the same question exactly when their
+// canonical forms match.
 func canonicalQuery(ids []dataset.ObjectID, g pattern.Group, reverse bool) string {
 	sortedIDs := make([]int, len(ids))
 	for i, id := range ids {
@@ -59,17 +60,18 @@ func canonicalQuery(ids []dataset.ObjectID, g pattern.Group, reverse bool) strin
 	sort.Ints(sortedIDs)
 	members := make([]string, len(g.Members))
 	for i, p := range g.Members {
-		members[i] = p.Key()
+		members[i] = fmt.Sprint([]int(p))
 	}
 	sort.Strings(members)
 	return fmt.Sprintf("%v|%q|%v", reverse, members, sortedIDs)
 }
 
-// FuzzCacheKey proves the cache key injective over its equivalence
-// classes: no two distinct (ids, group, kind) tuples may share a key —
-// a collision would let one paid HIT silently answer a different crowd
-// question — and equivalent tuples (reordered ids, reordered members)
-// must keep sharing one.
+// FuzzCacheKey proves the cache's query identity exact over its
+// equivalence classes. Under one forced hash, a table finds a stored
+// query exactly when the canonical forms match: a false match would
+// let one paid HIT silently answer a different crowd question, and a
+// missed one would pay twice. Equivalent queries (reordered ids,
+// reordered members) must also hash equal; distinct ones may collide.
 func FuzzCacheKey(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 2, 1, 1, 0}, []byte{1, 2, 1, 2, 1, 1, 0})
 	// Historic collision shapes: a member key absorbing a separator vs
@@ -77,52 +79,24 @@ func FuzzCacheKey(f *testing.F) {
 	// uses between slots.
 	f.Add([]byte{0, 0, 2, 2, 1, 2, 0}, []byte{0, 0, 1, 2, 1, 2, 0})
 	f.Add([]byte{0, 1, 5, 1, 1, 0xFB}, []byte{0, 1, 0xFB, 1, 1, 5}) // 0xFB = int8(-5)
+	// Pattern.Key renders the one-slot member {12} as the two-slot {1,2}.
+	f.Add([]byte{0, 0, 1, 1, 12}, []byte{0, 0, 1, 2, 1, 2})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		ids1, g1, rev1 := decodeCacheQuery(a)
 		ids2, g2, rev2 := decodeCacheQuery(b)
-		key1 := setKey(ids1, g1, rev1)
-		key2 := setKey(ids2, g2, rev2)
+		q1 := SetRequest{IDs: ids1, Group: g1, Reverse: rev1}
+		q2 := SetRequest{IDs: ids2, Group: g2, Reverse: rev2}
 		canon1 := canonicalQuery(ids1, g1, rev1)
 		canon2 := canonicalQuery(ids2, g2, rev2)
-		if (key1 == key2) != (canon1 == canon2) {
-			t.Fatalf("cache key injectivity violated:\nq1=%s key=%q\nq2=%s key=%q",
-				canon1, key1, canon2, key2)
+		tab := newQueryTable[SetRequest, bool](&setKind{})
+		tab.add(0, -1, q1)
+		found, _ := tab.find(0, q2)
+		if (found >= 0) != (canon1 == canon2) {
+			t.Fatalf("table equality %v, canonical equality %v:\nq1=%s\nq2=%s",
+				found >= 0, canon1 == canon2, canon1, canon2)
+		}
+		if canon1 == canon2 && tab.kind.hash(q1) != tab.kind.hash(q2) {
+			t.Fatalf("equivalent queries hash apart:\nq1=%v\nq2=%v", q1, q2)
 		}
 	})
-}
-
-// TestSetKeyLengthPrefixCollisions pins the concrete collision class
-// the length-prefixed encoding exists for: a single member whose key
-// contains the list separator must not collide with the two-member
-// group it imitates.
-func TestSetKeyLengthPrefixCollisions(t *testing.T) {
-	ids := []dataset.ObjectID{1, 2}
-	// Member keys: ["1-2"] (one 2-slot pattern) vs ["1","2"] (two
-	// 1-slot patterns) vs ["1","-2"]: a naive join renders all three
-	// identically under some separator choice.
-	one := pattern.Group{Members: []pattern.Pattern{{1, 2}}}
-	two := pattern.Group{Members: []pattern.Pattern{{1}, {2}}}
-	neg := pattern.Group{Members: []pattern.Pattern{{1}, {-2}}}
-	keys := map[string]string{}
-	for name, g := range map[string]pattern.Group{"one": one, "two": two, "neg": neg} {
-		k := setKey(ids, g, false)
-		for other, ok := range keys {
-			if ok == k {
-				t.Fatalf("groups %s and %s collide on key %q", name, other, k)
-			}
-		}
-		keys[name] = k
-	}
-	// Equivalence classes still dedup: id order and member order are
-	// canonicalized away.
-	if setKey([]dataset.ObjectID{2, 1}, two, false) != setKey(ids, two, false) {
-		t.Error("reordered ids must share a key")
-	}
-	swapped := pattern.Group{Members: []pattern.Pattern{{2}, {1}}}
-	if setKey(ids, swapped, false) != setKey(ids, two, false) {
-		t.Error("reordered members must share a key")
-	}
-	if setKey(ids, two, true) == setKey(ids, two, false) {
-		t.Error("set and reverse-set must not share a key")
-	}
 }

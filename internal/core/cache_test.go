@@ -373,3 +373,155 @@ func TestCacheWaitErrorDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// countingLeaf is a native batch leaf that answers every set question
+// yes and every point question with one zero label, and counts the
+// queries posted to it. It reuses its set-answer buffer, so a
+// benchmark over it measures the layers above.
+type countingLeaf struct {
+	oneQueryRounds
+	posted int
+	sets   []bool
+}
+
+func newCountingLeaf() *countingLeaf {
+	l := &countingLeaf{}
+	l.oneQueryRounds = oneQueryRounds{l}
+	return l
+}
+
+func (l *countingLeaf) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	l.posted += len(reqs)
+	l.sets = l.sets[:0]
+	for range reqs {
+		l.sets = append(l.sets, true)
+	}
+	return l.sets, nil
+}
+
+func (l *countingLeaf) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	l.posted += len(ids)
+	labels := make([][]int, len(ids))
+	for i := range labels {
+		labels[i] = []int{0}
+	}
+	return labels, nil
+}
+
+// TestCacheKeySlotArity: groups whose member patterns differ only in
+// slot count or slot sign are distinct crowd questions, though
+// Pattern.Key renders them alike ({12} and {1,2} are both "12",
+// {-121,-121} and {-121,121} both "-121-121"). Each pays its own HIT.
+func TestCacheKeySlotArity(t *testing.T) {
+	ids := []dataset.ObjectID{1, 2, 3}
+	for _, pair := range [][2]pattern.Pattern{
+		{{12}, {1, 2}},
+		{{-121, -121}, {-121, 121}},
+	} {
+		leaf := newCountingLeaf()
+		c := NewCachingOracle(leaf)
+		for _, p := range pair {
+			if _, err := c.SetQuery(ids, pattern.Group{Members: []pattern.Pattern{p}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := c.Stats(); st.Misses.Set != 2 || st.Hits.Set != 0 || leaf.posted != 2 {
+			t.Errorf("members %v and %v: %d misses, %d hits, %d posted; want 2 distinct paid questions",
+				[]int(pair[0]), []int(pair[1]), st.Misses.Set, st.Hits.Set, leaf.posted)
+		}
+	}
+}
+
+// TestCacheHashCollisionKeepsAnswersApart stores distinct queries
+// under one forced hash: each must find its own answer, equivalent
+// rewrites (reordered ids, reordered members) must find the original,
+// and dropping the newest slot must leave the older ones reachable.
+func TestCacheHashCollisionKeepsAnswersApart(t *testing.T) {
+	const h = 42
+	ids := []dataset.ObjectID{1, 2}
+	two := pattern.Group{Members: []pattern.Pattern{{1}, {2}}}
+	distinct := []SetRequest{
+		{IDs: ids, Group: two},
+		{IDs: ids, Group: pattern.Group{Members: []pattern.Pattern{{1, 2}}}},    // one 2-slot member
+		{IDs: ids, Group: pattern.Group{Members: []pattern.Pattern{{12}}}},      // Key "12" as above
+		{IDs: ids, Group: pattern.Group{Members: []pattern.Pattern{{1}, {-2}}}}, // a negative slot
+		{IDs: ids, Group: two, Reverse: true},
+		{IDs: ids[:1], Group: two},
+		{IDs: []dataset.ObjectID{1, 1, 2}, Group: two}, // a repeated id
+	}
+	tab := newQueryTable[SetRequest, int](&setKind{})
+	for i, q := range distinct {
+		s, head := tab.find(h, q)
+		if s >= 0 {
+			t.Fatalf("query %d matched slot %d (answer %d) before it was stored", i, s, tab.answers[s])
+		}
+		tab.answers[tab.add(h, head, q)] = i
+	}
+	answer := func(q SetRequest) int {
+		if s, _ := tab.find(h, q); s >= 0 {
+			return tab.answers[s]
+		}
+		return -1
+	}
+	for i, q := range distinct {
+		if got := answer(q); got != i {
+			t.Errorf("query %d got the answer of query %d", i, got)
+		}
+	}
+	equivalent := []SetRequest{
+		{IDs: []dataset.ObjectID{2, 1}, Group: two},
+		{IDs: ids, Group: pattern.Group{Members: []pattern.Pattern{{2}, {1}}}},
+		{IDs: []dataset.ObjectID{2, 1}, Group: pattern.Group{Name: "renamed", Members: []pattern.Pattern{{2}, {1}}}},
+	}
+	for _, q := range equivalent {
+		if got := answer(q); got != 0 {
+			t.Errorf("%v got the answer of query %d, want 0", q, got)
+		}
+		if tab.kind.hash(q) != tab.kind.hash(distinct[0]) {
+			t.Errorf("%v hashes apart from its equivalent", q)
+		}
+	}
+	last := len(distinct) - 1
+	tab.pop(h)
+	if got := answer(distinct[last]); got != -1 {
+		t.Errorf("dropped query still answers %d", got)
+	}
+	for i, q := range distinct[:last] {
+		if got := answer(q); got != i {
+			t.Errorf("after the drop, query %d got the answer of query %d", i, got)
+		}
+	}
+}
+
+// BenchmarkCacheMissRound measures the cache's miss path the way the
+// intersectional truth audit drives it: rounds of 90 fresh 10-id set
+// queries over a free leaf, into a cache that grows to about the
+// 150k entries of one such audit before it is replaced.
+func BenchmarkCacheMissRound(b *testing.B) {
+	const round, size, roundsPerCache = 90, 10, 1700
+	g := pattern.Group{Members: []pattern.Pattern{{0, pattern.Wildcard, 1}}}
+	reqs := make([]SetRequest, round)
+	for i := range reqs {
+		reqs[i] = SetRequest{IDs: make([]dataset.ObjectID, size), Group: g}
+	}
+	var c *CachingOracle
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%roundsPerCache == 0 {
+			b.StopTimer()
+			c = NewCachingOracle(newCountingLeaf())
+			b.StartTimer()
+		}
+		for q := range reqs {
+			for j := range reqs[q].IDs {
+				reqs[q].IDs[j] = dataset.ObjectID(next)
+				next++
+			}
+		}
+		if _, err := c.SetQueryBatch(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

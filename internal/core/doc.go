@@ -56,9 +56,10 @@
 //     FIFO queue's front, clipped to the nodes whose cumulative size
 //     reaches the count still needed and to the governor's headroom,
 //     with the paper's sibling inference applied at commit time.
-//   - CachingOracle (cache.go) deduplicates identical queries on a
-//     canonicalized key (sorted id-set plus group members); errors are
-//     never cached. It sits above every layer but retry, so a hit
+//   - CachingOracle (cache.go) deduplicates identical queries: the
+//     same kind, id multiset and member patterns, found by an
+//     order-blind 64-bit hash and confirmed by a full compare; errors
+//     are never cached. It sits above every layer but retry, so a hit
 //     reaches no other layer, and it runs each round under its lock,
 //     the way trust, the journal and the crowd platform do: concurrent
 //     callers take turns per round, and duplicates inside a round
@@ -264,13 +265,14 @@
 // delivers, so at most one window per task is ever in flight);
 // Group-Coverage reuses its window's request slice across rounds, and
 // the trust layer its probe-augmented round. The caching oracle
-// (cache.go) builds keys into reused byte scratch and looks them up
-// via Go's allocation-free map[string(bytes)] form, materializing a
-// string only when a key is stored; the scratch is safe to reuse
-// because a round holds the cache lock until its answers are
-// assembled. The crowd
-// platform reuses its worker-draw permutation, answer, glyph and label
-// buffers under the platform lock, and renders glyphs lazily on first
+// (cache.go) finds a query through a pointer-free map from its 64-bit
+// hash to a table slot, stores keys in one byte arena and answers in
+// flat slices, and reuses its per-round slot and miss scratch, so a
+// set round allocates only its answer slice and amortized table
+// growth; the scratch is safe to reuse because a round holds the
+// cache lock until its answers are assembled. The crowd platform
+// reuses its worker-draw permutation, answer, glyph and label buffers
+// under the platform lock, and renders glyphs lazily on first
 // reference.
 //
 // The crowd's glyph decode (internal/imagegen) reads only the pixels
